@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel ci
+.PHONY: build vet test race bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -95,4 +95,10 @@ golden-check:
 golden-parallel:
 	$(GO) test -count=1 -run TestExperimentsMatchGolden -golden-workers 8 .
 
-ci: build vet docs test race bench bench-gate cover golden-check golden-parallel
+# The benchmark (BENCHMARK.json) is its own module, which `./...` at the
+# root does not reach: vet it and run its smoke test so a library change
+# cannot break the benchmark build unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test .
+
+ci: build vet docs test race bench bench-gate cover golden-check golden-parallel perfbench-check

@@ -25,41 +25,29 @@
 // per-group sensitivity. This reproduces the over-threading penalties the
 // paper measures (Figs. 2a, 6, 7, 10) that a pure fluid model would hide.
 //
-// # Allocation memoization and hot-state layout
+// # Tick protocol and hot-state layout
 //
 // The division of CPU among groups is a pure function of the scheduler's
 // configuration (shares, quota, cpuset, group topology) and the runnable
-// counts. The scheduler therefore computes it only when one of those
-// inputs changes: every mutating entry point (SetShares, SetQuota,
-// SetCpuset, SetRunnable, task/group lifecycle, SkipIdle) invalidates the
-// memo, and the next Tick recomputes caps and the water fill with the
-// exact loop a non-memoizing scheduler would run every tick — so results
-// are bit-identical, just not recomputed when nothing changed. Ticks in
-// between advance accounting for the active groups only (the groups with
-// a non-zero rate), touching one groupAcct slot and the runnable tasks of
-// each.
+// counts, so the scheduler memoizes it and repairs it incrementally:
+// every mutating entry point (SetShares, SetQuota, SetCpuset,
+// SetRunnable, task/group lifecycle) marks the touched group in a dirty
+// set, and the next Tick recomputes caps, water fills, and accounting
+// only for the dirty groups, the affected parents, and the top level —
+// O(changes + tops) instead of O(groups) — escalating to one full
+// rebuild when the dirty set grows to a sizable fraction of the active
+// set. Accounting for quiet groups (active groups with no runnable
+// OnTick task) is deferred and settled on read, replaying the memoized
+// per-tick deltas, so every observable value stays bit-identical to
+// rebuilding every tick. See repair.go and DESIGN.md §15.
 //
 // Per-group hot state lives in struct-of-arrays form on the Scheduler
 // (gCap, gRate, gAcct), indexed by the group's slot in Groups(). Slots
 // are index-stable except across RemoveGroup, which compacts all arrays
 // in step. Configuration fields on Group remain exported for reading;
-// writing them directly on a live scheduler bypasses invalidation and is
-// reserved for building fixtures before the first Tick — mutate through
-// the Scheduler setters instead.
-//
-// # Incremental repair
-//
-// Schedulers built with Options.IncrementalRepair replace the binary
-// invalidate-and-rebuild memo protocol with dirty-set repair: mutators
-// mark the touched group in a dirty set, and the next Tick recomputes
-// caps, water fills, and accounting only for the dirty groups, the
-// affected parents, and the top level — O(changes + tops) instead of
-// O(groups) — escalating to one full rebuild when the dirty set grows
-// to a sizable fraction of the active set. Accounting for quiet groups
-// (active groups with no runnable OnTick task) is deferred and settled
-// on read, replaying the memoized per-tick deltas so every observable
-// value stays bit-identical to the eager protocol. See repair.go and
-// DESIGN.md §15.
+// writing them directly on a live scheduler bypasses the dirty set and
+// is reserved for building fixtures before the first Tick — mutate
+// through the Scheduler setters instead.
 package cfs
 
 import (
@@ -90,8 +78,21 @@ type Task struct {
 	// OnTick, if non-nil, is invoked after every scheduling tick in
 	// which the task was runnable, with the useful work accomplished
 	// (CPU time discounted by the oversubscription penalty) and the
-	// raw CPU time consumed. State changes made by the callback
-	// (blocking tasks, waking tasks) take effect from the next tick.
+	// raw CPU time consumed.
+	//
+	// Contract: install OnTick before the task is first made runnable
+	// (all in-tree workloads do). The scheduler defers the accounting of
+	// groups without a runnable OnTick task, so it must know which
+	// groups cannot defer; settling a deferred group that holds a
+	// runnable task with a late-installed OnTick panics.
+	//
+	// Allocation changes the callback makes (blocking or waking tasks,
+	// limit writes) take effect from the next tick, whichever walk —
+	// quiet, repair, or full rebuild — invoked it. A callback that
+	// blocks or wakes tasks of another group the walk has not reached
+	// yet may shift that group's per-task split of the current tick
+	// depending on walk order; no in-tree workload changes another
+	// group's tasks from inside a tick.
 	OnTick func(now sim.Time, useful, raw units.CPUSeconds)
 
 	group    *Group
@@ -136,9 +137,7 @@ const (
 	// since the last tick; its throttle state must be re-evaluated
 	// (alloc provably unchanged, so no full rebuild is needed).
 	acctFlagsDirty
-	// The remaining bits are incremental-repair state (repair.go) and
-	// are maintained only on schedulers built with
-	// Options.IncrementalRepair.
+	// The remaining bits are repair state (repair.go).
 
 	// acctAllocDirty: the group is queued in Scheduler.dirty for
 	// allocation repair on the next tick.
@@ -155,14 +154,6 @@ const (
 	// acctRefill: transient repair-phase mark — the parent's child fill
 	// is queued for recomputation this tick.
 	acctRefill
-	// acctAllocParked: the group's allocation inputs changed during a
-	// repair tick's own walk (an OnTick callback blocked or woke a
-	// task). The eager protocol absorbs such changes — its rebuild
-	// finishes with allocValid = true and the stale allocation stands
-	// until the next invalidation — so a parked mark does not trigger
-	// a repair by itself; it joins the dirty set of whatever repair
-	// tick runs next.
-	acctAllocParked
 )
 
 // Group is a scheduling control group (the cpu controller of a cgroup).
@@ -190,11 +181,10 @@ type Group struct {
 	tasks    []*Task
 	runnable int // live runnable-task count (kept by Scheduler.SetRunnable)
 	// runnableOnTick counts runnable tasks carrying an OnTick callback.
-	// Incremental repair keys eager-vs-deferred accounting on it: a
-	// group with zero runnable OnTick tasks can have its per-tick
-	// accrual replayed later, one with any cannot (the callback must
-	// fire every tick). Requires OnTick to be installed before the task
-	// is first made runnable; settleTo panics otherwise.
+	// The tick keys eager-vs-deferred accounting on it: a group with
+	// zero runnable OnTick tasks can have its per-tick accrual replayed
+	// later, one with any cannot (the callback must fire every tick).
+	// See the contract on Task.OnTick.
 	runnableOnTick int
 
 	parent   *Group
@@ -334,9 +324,10 @@ type Scheduler struct {
 	gRate []float64 // memoized water-fill result (= LastRate)
 	gAcct []groupAcct
 
-	// Memoized allocation metadata, valid while allocValid holds.
+	// Memoized allocation metadata. allocValid is false until the first
+	// Tick and after SkipIdle: the next Tick then rebuilds in full, and
+	// mutators skip the dirty set.
 	allocValid   bool  // gCap/gRate/active/loadContrib/slackLast current
-	listsValid   bool  // active/throttledIdx hold live schedIdx values
 	active       []int // groups with rate > 0, ascending schedIdx
 	throttledIdx []int // groups flagged throttled, superset, see NextEvent
 	flagsDirty   []int // groups marked acctFlagsDirty since the last tick
@@ -346,25 +337,21 @@ type Scheduler struct {
 	scratchTop   []int
 	scratchChild []int
 
-	// Incremental-repair state (Options.IncrementalRepair; repair.go).
-	// All index lists are ascending schedIdx and kept exact across
-	// RemoveGroup compaction.
-	repair         bool
-	dirty          []int // groups queued for allocation repair (acctAllocDirty)
-	parked         []int // absorbed mid-walk marks (acctAllocParked)
-	pendingAbsorb  bool  // the eager protocol would rebuild on the next tick with no repair work queued
-	walkAbsorbs    bool  // the running walk matches an eager rebuild: mid-walk marks are absorbed (parked)
-	pendingTopFill bool  // top-level fill must rerun (active top membership changed)
-	pendingResum   bool  // slack/loadContrib sums must re-derive (an active group left)
-	activeTop      []int // top-level groups with cap > 0 (acctTop)
-	eagerIdx       []int // active groups with runnable OnTick tasks (acctEager)
+	// Repair state (repair.go). RemoveGroup patches every index list
+	// here and above in place, so slots stay exact across compaction.
+	dirty          []int    // groups queued for allocation repair (acctAllocDirty)
+	pendingTopFill bool     // top-level fill must rerun (active top membership changed)
+	pendingResum   bool     // slack/loadContrib sums must re-derive (an active group left)
+	activeTop      []int    // top-level groups with cap > 0 (acctTop)
+	eagerIdx       []int    // active groups with runnable OnTick tasks (acctEager)
 	gSettled       []uint64 // tick through which each group's accounting is settled
 	lastDt         time.Duration
 	lastDtSec      float64
 	// Mid-walk settle guard: during a tick's accounting walk, reads of a
 	// group the walk has not reached yet settle to the previous tick
 	// (its current-tick accrual happens when the walk reaches it),
-	// matching what the eager walk would expose at the same point.
+	// matching what a full rebuild's walk would expose at that point.
+	// Mutators also read it: a mid-walk change queues a repair.
 	inWalk  bool
 	walkPos int
 	// repair scratch, reused tick to tick
@@ -380,7 +367,7 @@ type Scheduler struct {
 	activeBuf     []int
 	eagerBuf      []int
 	topBuf        []int
-	nrSnapIdx     []int // leaves walked this repair tick (ascending)
+	nrSnapIdx     []int // leaves walked this tick (ascending)
 	nrSnapVal     []int // their runnable counts at visit time
 }
 
@@ -399,6 +386,15 @@ func NewScheduler(ncpu int) *Scheduler {
 		panic(fmt.Sprintf("cfs: non-positive CPU count %d", ncpu))
 	}
 	return &Scheduler{ncpu: ncpu, LoadAvgTau: time.Second}
+}
+
+// Options remains so existing configurations compile.
+//
+// Deprecated: the scheduler has one tick protocol, dirty-set repair, and
+// nothing reads Options.
+type Options struct {
+	// Deprecated: ignored; every scheduler repairs incrementally.
+	IncrementalRepair bool
 }
 
 // NCPU returns the number of host cores.
@@ -432,12 +428,6 @@ func (s *Scheduler) Groups() []*Group { return s.groups }
 // group lifecycle paths, not scanned.
 func (s *Scheduler) TopShares() int64 { return s.topShares }
 
-// Invalidate marks the memoized allocation stale, forcing the next Tick
-// to recompute caps and the water fill from current state. Every
-// Scheduler mutator calls it; exported so tests that poke Group
-// configuration fields directly on a live scheduler can stay correct.
-func (s *Scheduler) Invalidate() { s.allocValid = false }
-
 // SetShares writes g's cpu.shares weight while keeping the share
 // aggregates (TopShares, the parent's ChildShares) consistent. All
 // share changes on a live group must go through here (the cgroups layer
@@ -456,7 +446,7 @@ func (s *Scheduler) SetShares(g *Group, shares int64) {
 	// Shares only weight the water fills a group with a positive cap
 	// participates in; reweighting a capless group cannot move any
 	// allocation.
-	if !g.removed && (!s.allocValid || s.gCap[g.schedIdx] > 0) {
+	if !g.removed && s.allocValid && s.gCap[g.schedIdx] > 0 {
 		s.noteAllocChange(g)
 	}
 }
@@ -466,23 +456,16 @@ func (s *Scheduler) SetShares(g *Group, shares int64) {
 // through here (the cgroups layer does).
 //
 // Quota churn is the dominant event stream at scale, so the write is
-// classified before it invalidates the allocation memo: a change that
+// classified before it queues an allocation repair: a change that
 // provably leaves the group's cap — and therefore every group's rate —
 // unchanged either costs nothing (both old and new limits sit above the
 // cap) or only marks the subtree acctFlagsDirty so the next tick
-// re-evaluates its throttle state in O(subtree) instead of rebuilding
-// the water fill in O(groups).
+// re-evaluates its throttle state in O(subtree) instead of refilling.
 func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 	if !s.allocValid || g.removed {
+		// A pending full rebuild reads the new limit; a removed group
+		// cannot affect the allocation.
 		g.QuotaUS, g.PeriodUS = quotaUS, periodUS
-		// A removed group cannot affect the allocation; under repair the
-		// memo stays valid (the eager protocol conservatively rebuilds,
-		// so absorbed marks go live to match that refresh).
-		if !g.removed || !s.repair {
-			s.allocValid = false
-		} else {
-			s.noteEagerRebuild()
-		}
 		return
 	}
 	limOld := g.CPULimit()
@@ -499,9 +482,11 @@ func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 		// cap, rates, and throttle state are all unchanged.
 		return
 	}
-	if s.capOf(g) == capOld {
+	if s.capOf(g) == capOld && !s.inWalk {
 		// Same cap, so the water fill result is unchanged; only the
 		// throttle flags can move (e.g. quota lowered onto the rate).
+		// Mid-walk the flag-dirty list is being consumed, so an OnTick
+		// callback's write takes the repair path below instead.
 		s.markFlagsDirty(g)
 		for _, c := range g.children {
 			s.markFlagsDirty(c)
@@ -517,11 +502,6 @@ func (s *Scheduler) SetQuota(g *Group, quotaUS, periodUS int64) {
 func (s *Scheduler) SetCpuset(g *Group, n int) {
 	if !s.allocValid || g.removed {
 		g.CpusetN = n
-		if !g.removed || !s.repair {
-			s.allocValid = false
-		} else {
-			s.noteEagerRebuild()
-		}
 		return
 	}
 	capOld := s.gCap[g.schedIdx]
@@ -589,14 +569,7 @@ func (s *Scheduler) NewGroup(name string) *Group {
 	s.growHot()
 	s.topShares += g.Shares
 	// A new group has no runnable tasks, so cap 0: it joins no fill and
-	// moves no allocation. Under repair the memo therefore stays valid,
-	// but marks absorbed during an earlier repair walk go live, because
-	// the rebuild this forces on the eager protocol refreshes them.
-	if s.repair {
-		s.noteEagerRebuild()
-	} else {
-		s.allocValid = false
-	}
+	// moves no allocation, and the memo stays valid.
 	return g
 }
 
@@ -626,11 +599,6 @@ func (s *Scheduler) NewChildGroup(parent *Group, name string) *Group {
 	parent.childShares += g.Shares
 	s.groups = append(s.groups, g)
 	s.growHot()
-	if s.repair {
-		s.noteEagerRebuild()
-	} else {
-		s.allocValid = false
-	}
 	return g
 }
 
@@ -649,28 +617,23 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	for _, c := range append([]*Group(nil), g.children...) {
 		s.RemoveGroup(c)
 	}
-	if s.repair {
-		// Freeze fully settled accounting, and queue the repair the
-		// removal causes before the group's bookkeeping disappears. The
-		// eager protocol rebuilds after every removal, so absorbed marks
-		// go live.
-		s.settleTo(g.schedIdx, s.ticks)
-		if s.allocValid {
-			s.noteEagerRebuild()
-			if s.gRate[g.schedIdx] > 0 {
-				// An active group leaves: the slack and load-contribution
-				// ordered sums must re-derive even if no surviving rate
-				// moves (e.g. everyone else already sits at cap).
-				s.pendingResum = true
-			}
-			if g.parent != nil && !g.parent.removed {
-				s.noteAllocChange(g.parent)
-			} else if g.parent == nil && s.gAcct[g.schedIdx].flags&acctTop != 0 {
-				// An active top-level group leaves the fill: its grant
-				// must be redistributed even though no surviving group
-				// was touched.
-				s.pendingTopFill = true
-			}
+	// Freeze fully settled accounting, and queue the repair the removal
+	// causes before the group's bookkeeping disappears.
+	s.settleTo(g.schedIdx, s.ticks)
+	if s.allocValid {
+		if s.gRate[g.schedIdx] > 0 {
+			// An active group leaves: the slack and load-contribution
+			// ordered sums must re-derive even if no surviving rate
+			// moves (e.g. everyone else already sits at cap).
+			s.pendingResum = true
+		}
+		if g.parent != nil && !g.parent.removed {
+			s.noteAllocChange(g.parent)
+		} else if g.parent == nil && s.gAcct[g.schedIdx].flags&acctTop != 0 {
+			// An active top-level group leaves the fill: its grant must
+			// be redistributed even though no surviving group was
+			// touched.
+			s.pendingTopFill = true
 		}
 	}
 	g.final = s.gAcct[g.schedIdx]
@@ -706,20 +669,14 @@ func (s *Scheduler) RemoveGroup(g *Group) {
 	for j := i; j < len(s.groups); j++ {
 		s.groups[j].schedIdx = j
 	}
-	if s.repair {
-		// The index lists stay exact: drop the removed slot and shift
-		// the entries the compaction moved.
-		s.active = patchIdxList(s.active, i)
-		s.throttledIdx = patchIdxList(s.throttledIdx, i)
-		s.flagsDirty = patchIdxList(s.flagsDirty, i)
-		s.dirty = patchIdxList(s.dirty, i)
-		s.parked = patchIdxList(s.parked, i)
-		s.activeTop = patchIdxList(s.activeTop, i)
-		s.eagerIdx = patchIdxList(s.eagerIdx, i)
-		return
-	}
-	s.allocValid = false
-	s.listsValid = false
+	// The index lists stay exact: drop the removed slot and shift the
+	// entries the compaction moved.
+	s.active = patchIdxList(s.active, i)
+	s.throttledIdx = patchIdxList(s.throttledIdx, i)
+	s.flagsDirty = patchIdxList(s.flagsDirty, i)
+	s.dirty = patchIdxList(s.dirty, i)
+	s.activeTop = patchIdxList(s.activeTop, i)
+	s.eagerIdx = patchIdxList(s.eagerIdx, i)
 }
 
 // NewTask creates a task in group g. Tasks start blocked; call SetRunnable.
@@ -740,11 +697,9 @@ func (s *Scheduler) NewTask(g *Group, name string) *Task {
 func (s *Scheduler) RemoveTask(t *Task) {
 	t.removed = true
 	if t.runnable {
-		if s.repair {
-			// Account the task's deferred ticks before it leaves the
-			// replay set.
-			s.settleLive(t.group.schedIdx)
-		}
+		// Account the task's deferred ticks before it leaves the replay
+		// set.
+		s.settleLive(t.group.schedIdx)
 		s.runnableNow--
 		t.group.runnable--
 		if t.OnTick != nil {
@@ -770,11 +725,9 @@ func (s *Scheduler) SetRunnable(t *Task, runnable bool) {
 	if t.runnable == runnable {
 		return
 	}
-	if s.repair {
-		// Settle at the old rate and runnable count before the flip: the
-		// deferred ticks all ran under them.
-		s.settleLive(t.group.schedIdx)
-	}
+	// Settle at the old rate and runnable count before the flip: the
+	// deferred ticks all ran under them.
+	s.settleLive(t.group.schedIdx)
 	t.runnable = runnable
 	if runnable {
 		s.runnableNow++
@@ -850,12 +803,14 @@ func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity fl
 
 // Tick advances the scheduler by dt: allocates CPU, advances task work,
 // and updates accounting and the load average. It is called once per
-// simulation tick by the host. When no allocation input changed since
-// the previous tick the memoized rates are replayed over the active
-// groups only; otherwise the full recompute runs, with results
-// bit-identical to recomputing every tick.
+// simulation tick by the host. The tick takes one of three paths (see
+// repair.go): a quiet tick when nothing is dirty, an incremental repair
+// of the dirty set, or — on the first tick, after SkipIdle, and when the
+// dirty set is too large to repair group by group — one full rebuild.
+// All three leave every observable value bit-identical to rebuilding
+// every tick.
 func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
-	if s.repair && dt != s.lastDt {
+	if dt != s.lastDt {
 		// The deferred-accounting replay assumes a constant tick length;
 		// a change (hosts never do this, direct drivers may) settles
 		// everything at the old length first.
@@ -869,42 +824,22 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 	dtSec := dt.Seconds()
 
 	switch {
-	case !s.repair:
-		if s.allocValid {
-			s.fastTick(now, dt, dtSec)
-		} else {
-			s.Trace.Add(telemetry.CtrTickRebuilds, 1)
-			s.rebuildTick(now, dt, dtSec)
-		}
 	case s.allocValid && len(s.dirty) == 0 && !s.pendingTopFill && !s.pendingResum:
-		// A quiet tick absorbs mid-walk marks only when the eager
-		// protocol would be rebuilding right now (pendingAbsorb: a
-		// group was created, or removed-group state written, since the
-		// last tick) — that rebuild swallows mid-walk state changes.
-		s.walkAbsorbs = s.pendingAbsorb
-		s.pendingAbsorb = false
 		s.quietTick(now, dt, dtSec)
-		s.walkAbsorbs = false
 	case s.allocValid && !s.escalate():
 		s.Trace.Add(telemetry.CtrTickRepairs, 1)
-		s.pendingAbsorb = false
-		s.walkAbsorbs = true
 		s.repairTick(now, dt, dtSec)
-		s.walkAbsorbs = false
 	default:
 		if s.allocValid {
 			s.Trace.Add(telemetry.CtrRepairEscalations, 1)
 		}
 		s.Trace.Add(telemetry.CtrTickRebuilds, 1)
 		s.settleAllTo(s.ticks - 1)
-		// Reset before the walk: pre-existing marks are refreshed by
-		// the rebuild itself, while marks its OnTick callbacks make
-		// mid-walk must survive as parked.
+		// Reset before the walk: the rebuild refreshes everything the
+		// dirty set tracked, while marks its OnTick callbacks make
+		// mid-walk queue the next tick's repair.
 		s.resetRepairState()
-		s.pendingAbsorb = false
-		s.walkAbsorbs = true
 		s.rebuildTick(now, dt, dtSec)
-		s.walkAbsorbs = false
 	}
 
 	s.slackWindow += units.CPUSeconds(s.slackLast * dtSec)
@@ -917,27 +852,6 @@ func (s *Scheduler) Tick(now sim.Time, dt time.Duration) {
 			a = 1
 		}
 		s.loadAvg += (s.loadContrib - s.loadAvg) * a
-	}
-}
-
-// fastTick replays the memoized allocation: accounting advances for the
-// active groups and their runnable tasks, nothing else can have changed.
-func (s *Scheduler) fastTick(now sim.Time, dt time.Duration, dtSec float64) {
-	groups := s.groups
-	contribDirty := false
-	for _, i := range s.active {
-		if s.tickGroup(now, i, groups[i], dt, dtSec) {
-			contribDirty = true
-		}
-	}
-	if len(s.flagsDirty) > 0 {
-		for _, i := range s.flagsDirty {
-			s.gAcct[i].flags &^= acctFlagsDirty
-		}
-		s.flagsDirty = s.flagsDirty[:0]
-	}
-	if contribDirty {
-		s.recomputeLoadContrib()
 	}
 }
 
@@ -990,27 +904,6 @@ func (s *Scheduler) tickGroup(now sim.Time, i int, g *Group, dt time.Duration, d
 	return contribDirty
 }
 
-// recomputeLoadContrib re-derives the load contribution as the same
-// ascending ordered sum the rebuild computes, so the filter input stays
-// bit-identical.
-func (s *Scheduler) recomputeLoadContrib() {
-	contrib := 0.0
-	for _, i := range s.active {
-		g := s.groups[i]
-		if len(g.children) > 0 {
-			continue
-		}
-		rate := s.gRate[i]
-		nr := g.runnable
-		if s.gAcct[i].flags&acctThrottled != 0 && float64(nr) > rate {
-			contrib += rate
-		} else {
-			contrib += float64(nr)
-		}
-	}
-	s.loadContrib = contrib
-}
-
 // refreshThrottle re-evaluates an active group's throttle state after a
 // cap-preserving limit change, with the exact conditions and event
 // emission the rebuild applies, including this tick's throttledDur
@@ -1054,12 +947,12 @@ func (s *Scheduler) refreshThrottle(now sim.Time, i int, g *Group, rate float64,
 func (s *Scheduler) noteThrottleTracked(now sim.Time, i int, g *Group, throttled bool, rate float64) {
 	was := s.gAcct[i].flags&acctThrottled != 0
 	s.noteThrottle(now, i, g, throttled, rate)
-	if throttled && !was && s.listsValid {
+	if throttled && !was {
 		s.throttledIdx = append(s.throttledIdx, i)
 		if len(s.throttledIdx) > len(s.groups) {
 			// More entries than groups means duplicates from repeated
-			// transitions (under repair, rebuilds may never reset the
-			// list): compact to the currently flagged set.
+			// transitions (rebuilds, which reset the list, may never
+			// run): compact to the currently flagged set.
 			s.compactThrottledIdx()
 		}
 	}
@@ -1125,11 +1018,9 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 			top = append(top, i)
 		}
 	}
-	if s.repair {
-		// Snapshot the fill participants before waterfill consumes the
-		// list in place: repair ticks refill over this set.
-		s.activeTop = append(s.activeTop[:0], top...)
-	}
+	// Snapshot the fill participants before waterfill consumes the list
+	// in place: repair ticks refill over this set.
+	s.activeTop = append(s.activeTop[:0], top...)
 	waterfill(s.groups, caps, alloc, top, float64(s.ncpu))
 
 	// Second level: each parent's grant is filled among its children.
@@ -1146,12 +1037,13 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 		waterfill(s.groups, caps, alloc, childActive, alloc[i])
 	}
 
+	// The allocation is current from here on, so OnTick callbacks in
+	// the walk below queue their changes for the next tick's repair.
+	s.allocValid = true
 	s.active = s.active[:0]
 	s.throttledIdx = s.throttledIdx[:0]
-	if s.repair {
-		s.eagerIdx = s.eagerIdx[:0]
-		s.inWalk = true
-	}
+	s.eagerIdx = s.eagerIdx[:0]
+	s.inWalk = true
 	var used float64
 	loadContribution := 0.0
 	for i, g := range s.groups {
@@ -1159,17 +1051,14 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 		a := &s.gAcct[i]
 		a.perTask, a.over = 0, 0
 		a.flags &^= acctFlagsDirty
-		if s.repair {
-			s.walkPos = i
-			s.gSettled[i] = s.ticks
-			a.setFlag(acctActive, rate > 0)
-			a.setFlag(acctTop, g.parent == nil && caps[i] > 0)
-			// Eager membership is settled after the task walk below: an
-			// OnTick callback may block the group's last OnTick task,
-			// and a group that ends the tick without any must be
-			// deferrable.
-			a.setFlag(acctEager, false)
-		}
+		s.walkPos = i
+		s.gSettled[i] = s.ticks
+		a.setFlag(acctActive, rate > 0)
+		a.setFlag(acctTop, g.parent == nil && caps[i] > 0)
+		// Eager membership is settled after the task walk below: an
+		// OnTick callback may block the group's last OnTick task, and a
+		// group that ends the tick without any must be deferrable.
+		a.setFlag(acctEager, false)
 		if len(g.children) > 0 {
 			// Parent accounting only; its children execute the tasks.
 			thr := false
@@ -1262,7 +1151,7 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 				t.OnTick(now, units.CPUSeconds(float64(rawT)*eff), rawT)
 			}
 		}
-		if s.repair && g.runnableOnTick > 0 {
+		if g.runnableOnTick > 0 {
 			a.setFlag(acctEager, true)
 			s.eagerIdx = append(s.eagerIdx, i)
 		}
@@ -1278,8 +1167,6 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 	s.slackLast = slack
 
 	s.flagsDirty = s.flagsDirty[:0]
-	s.allocValid = true
-	s.listsValid = true
 	s.inWalk = false
 }
 
@@ -1328,19 +1215,15 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 	if s.runnableNow != 0 {
 		panic(fmt.Sprintf("cfs: SkipIdle with %d runnable tasks", s.runnableNow))
 	}
-	if s.repair {
-		// Settle any deferred accounting at the pre-skip rates; the
-		// skipped span itself accrues nothing (all rates are zero).
-		s.settleAllTo(s.ticks)
-	}
+	// Settle any deferred accounting at the pre-skip rates; the skipped
+	// span itself accrues nothing (all rates are zero).
+	s.settleAllTo(s.ticks)
 	s.ticks += uint64(n)
 	s.totalRunnable = 0
 	for i, g := range s.groups {
 		s.gRate[i] = 0
 		s.noteThrottle(now, i, g, false, 0)
-		if s.repair {
-			s.gSettled[i] = s.ticks
-		}
+		s.gSettled[i] = s.ticks
 	}
 	s.allocValid = false
 	dtSec := dt.Seconds()
@@ -1371,21 +1254,8 @@ func (s *Scheduler) SkipIdle(now sim.Time, dt time.Duration, n int) {
 func (s *Scheduler) NextEvent(now sim.Time) (sim.Time, bool) {
 	var best sim.Time
 	have := false
-	if s.listsValid {
-		for _, i := range s.throttledIdx {
-			g := s.groups[i]
-			if s.gAcct[i].flags&acctThrottled == 0 || g.PeriodUS <= 0 {
-				continue
-			}
-			period := time.Duration(g.PeriodUS) * time.Microsecond
-			next := now - now%period + period
-			if !have || next < best {
-				best, have = next, true
-			}
-		}
-		return best, have
-	}
-	for i, g := range s.groups {
+	for _, i := range s.throttledIdx {
+		g := s.groups[i]
 		if s.gAcct[i].flags&acctThrottled == 0 || g.PeriodUS <= 0 {
 			continue
 		}

@@ -1,4 +1,4 @@
-package integration
+package cfs_test
 
 import (
 	"fmt"
@@ -10,26 +10,41 @@ import (
 	"arv/internal/container"
 	"arv/internal/faults"
 	"arv/internal/host"
+	"arv/internal/sim"
 	"arv/internal/sysns"
 	"arv/internal/telemetry"
 	"arv/internal/units"
 	"arv/internal/workloads"
 )
 
+// rebuildEveryTick stands in for a host's scheduler subsystem and ticks
+// it through the rebuild-every-tick reference (cfs.Scheduler.TickRebuild).
+type rebuildEveryTick struct{ *cfs.Scheduler }
+
+func (r rebuildEveryTick) Tick(now sim.Time, dt time.Duration) { r.TickRebuild(now, dt) }
+
 // buildFaultMixHost assembles the differential scenario: a host with
 // flat containers and one pod, CPU-bound workloads, and every fault
 // class armed — limit churn, event drop/delay, monitor lag/miss, and a
 // kill/restart cycle. The schedule is a pure function of the seeds, so
 // two hosts built with the same arguments see identical perturbation
-// streams and any state divergence is the scheduler protocol's.
-func buildFaultMixHost(repair bool) (*host.Host, []*container.Container) {
+// streams and any state divergence is the scheduler protocol's. With
+// reference set, the host's scheduler rebuilds every tick.
+func buildFaultMixHost(t *testing.T, reference bool) (*host.Host, []*container.Container) {
 	h := host.New(host.Config{
-		CPUs:       16,
-		Memory:     64 * units.GiB,
-		Seed:       7,
-		CFSOptions: cfs.Options{IncrementalRepair: repair},
-		NSOptions:  sysns.Options{BatchedRecompute: true},
+		CPUs:      16,
+		Memory:    64 * units.GiB,
+		Seed:      7,
+		NSOptions: sysns.Options{BatchedRecompute: true},
 	})
+	if reference {
+		// The kernel loop drives the subsystems through this slice.
+		ss := h.Subsystems()
+		if ss[0] != host.Subsystem(h.Sched) {
+			t.Fatalf("scheduler is not the first subsystem: %s", ss[0].SubsystemName())
+		}
+		ss[0] = rebuildEveryTick{h.Sched}
+	}
 
 	var ctrs []*container.Container
 	for i := 0; i < 6; i++ {
@@ -82,18 +97,20 @@ func buildFaultMixHost(repair bool) (*host.Host, []*container.Container) {
 }
 
 // TestRepairMatchesEagerUnderFaultMix is the system-level differential
-// lockdown for cfs.Options.IncrementalRepair: two full hosts — one
-// eager, one repair — run the same fault-mix schedule, and every
-// sampled observable must be bit-identical at every sample point. This
-// is the end-to-end complement to the cfs package's mirror property
-// test: it routes the comparison through cgroups, ns_monitor, faults,
-// and kill/restart container lifecycles rather than direct scheduler
-// calls.
+// lockdown for the scheduler's tick protocol: two full hosts — one whose
+// scheduler rebuilds eagerly every tick, one on the production repair
+// dispatch — run the same fault-mix schedule, and every sampled
+// observable must be bit-identical at every sample point. This is the
+// end-to-end complement to the mirror property tests in repair_test.go:
+// it routes the comparison through cgroups, ns_monitor, faults, and
+// kill/restart container lifecycles rather than direct scheduler calls.
+// On failure the last trace events of both hosts are logged.
 func TestRepairMatchesEagerUnderFaultMix(t *testing.T) {
-	he, ce := buildFaultMixHost(false)
-	hr, cr := buildFaultMixHost(true)
+	he, ce := buildFaultMixHost(t, true)
+	hr, cr := buildFaultMixHost(t, false)
 	tre := he.EnableTelemetry(0)
 	trr := hr.EnableTelemetry(0)
+	cfs.FlightRecorder(t, tre, trr)
 
 	feq := func(ctx string, a, b float64) {
 		t.Helper()
@@ -153,11 +170,11 @@ func TestRepairMatchesEagerUnderFaultMix(t *testing.T) {
 	}
 
 	// The comparison is only meaningful if the repair host actually
-	// took the incremental paths (and the eager host never did).
+	// took the incremental paths (and the reference host never did).
 	if n := trr.Count(telemetry.CtrTickRepairs); n == 0 {
 		t.Fatalf("repair host recorded no repair ticks")
 	}
 	if n := tre.Count(telemetry.CtrTickRepairs); n != 0 {
-		t.Fatalf("eager host recorded %d repair ticks", n)
+		t.Fatalf("reference host recorded %d repair ticks", n)
 	}
 }

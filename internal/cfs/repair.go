@@ -1,10 +1,7 @@
-// Incremental tick-allocation repair (Options.IncrementalRepair).
+// Dirty-set tick repair: the scheduler's tick protocol.
 //
-// The eager memo protocol in cfs.go is binary: any allocation-affecting
-// mutation invalidates the whole memo and the next Tick rebuilds caps,
-// both water-fill levels, and accounting for every group — O(groups)
-// even when one group changed. Repair mode replaces the invalidate bit
-// with a dirty set and splits Tick into three regimes:
+// Mutators mark the groups whose allocation inputs changed in a dirty
+// set, and Tick takes one of three paths:
 //
 //   - quietTick: nothing dirty. Only the eager groups (active groups
 //     with runnable OnTick tasks, whose callbacks must fire every tick)
@@ -12,7 +9,7 @@
 //     accounting is deferred: gSettled[i] records the tick through
 //     which group i is settled, and settleTo replays the missing ticks
 //     at the memoized rates on the next read or repair. The replay
-//     performs the same per-tick float additions the eager walk would
+//     performs the same per-tick float additions a full walk would
 //     have, so results are bit-identical, and costs nothing until
 //     someone looks.
 //
@@ -30,16 +27,21 @@
 //     any touched leaf triggers an O(active) ordered re-sum: repair is
 //     O(changes + tops + active), not O(groups + tasks).
 //
-//   - escalation: when the dirty set reaches both an absolute floor and
-//     half the active set, one full rebuildTick (after settling all
-//     deferred accounting) re-derives everything and re-seeds the
-//     repair lists — pathological churn degrades gracefully to the
-//     eager cost, mirroring sysns's batched-recompute escalation.
+//   - rebuildTick (cfs.go): the first tick, the tick after SkipIdle,
+//     and escalation — when the dirty set reaches both an absolute
+//     floor and half the active set, one full rebuild (after settling
+//     all deferred accounting) re-derives everything and re-seeds the
+//     repair lists, so pathological churn degrades gracefully to
+//     O(groups).
 //
-// Equivalence with the eager protocol is not asserted, it is tested:
-// repair_test.go drives mirrored schedulers through randomized op
-// sequences and compares the full observable state every tick, and the
-// integration differential test does the same under the fault mix.
+// Marks made by OnTick callbacks during any of the three walks queue
+// the next tick's repair (see Task.OnTick).
+//
+// Equivalence with rebuilding every tick is not asserted, it is tested:
+// repair_test.go drives a repairing scheduler and a rebuild-every-tick
+// reference through randomized op sequences and compares the full
+// observable state every tick, and faultmix_test.go does the same for
+// two full hosts under the fault mix.
 package cfs
 
 import (
@@ -50,33 +52,6 @@ import (
 	"arv/internal/sim"
 	"arv/internal/units"
 )
-
-// Options configures optional Scheduler behavior. The zero value is the
-// default eager configuration NewScheduler uses.
-type Options struct {
-	// IncrementalRepair enables dirty-set allocation repair with
-	// deferred (settle-on-read) accounting for quiet groups; see the
-	// package comment. Every observable value — rates, caps, usage,
-	// throttle state, load average, slack — stays bit-identical to the
-	// eager protocol.
-	//
-	// Contract: a task's OnTick callback must be installed before the
-	// task is first made runnable (all in-tree workloads do), so the
-	// scheduler knows which groups cannot defer accounting; settleTo
-	// panics on violations. Mid-tick cross-group wakes made by an
-	// OnTick callback take effect the next tick, where the eager walk
-	// would expose them to groups later in the same walk; no in-tree
-	// workload wakes tasks outside its own group mid-tick.
-	IncrementalRepair bool
-}
-
-// NewSchedulerOpts returns a scheduler for a host with ncpu cores,
-// configured by opts. NewScheduler(n) is NewSchedulerOpts(n, Options{}).
-func NewSchedulerOpts(ncpu int, opts Options) *Scheduler {
-	s := NewScheduler(ncpu)
-	s.repair = opts.IncrementalRepair
-	return s
-}
 
 // repairEscalateMin is the dirty-set floor below which a repair never
 // escalates: a handful of dirty groups on a mostly idle host repairs in
@@ -89,104 +64,44 @@ func (s *Scheduler) escalate() bool {
 	return len(s.dirty) >= repairEscalateMin && 2*len(s.dirty) >= len(s.active)
 }
 
-// noteAllocChange records that g's allocation inputs changed: the eager
-// protocol invalidates the whole memo, repair queues g in the dirty set
-// (unless a full rebuild is already pending).
-//
-// A change made from inside a walk that matches an eager rebuild
-// (walkAbsorbs — see the Tick dispatch) is parked instead of queued
-// live: the eager rebuild finishes with allocValid = true, so the
-// change stands absorbed until the next invalidation, and the repair
-// protocol must leave the same staleness in place to stay
-// bit-identical.
+// noteAllocChange queues g for allocation repair on the next tick,
+// unless a full rebuild is already pending.
 func (s *Scheduler) noteAllocChange(g *Group) {
-	if !s.repair {
-		s.allocValid = false
-		return
-	}
-	i := g.schedIdx
-	a := &s.gAcct[i]
-	if a.flags&acctAllocDirty != 0 {
-		return
-	}
-	if s.inWalk && s.walkAbsorbs {
-		if a.flags&acctAllocParked == 0 {
-			a.flags |= acctAllocParked
-			s.parked = append(s.parked, i)
-		}
-		return
-	}
 	if !s.allocValid {
 		return
 	}
-	// A live mark on a parked group promotes it: the mutation forces a
-	// repair now. The stale parked-list entry is deduplicated by
-	// repairTick's sort pass.
-	a.flags |= acctAllocDirty
-	s.dirty = append(s.dirty, i)
-}
-
-// noteEagerRebuild records a mutation that forces the eager protocol to
-// rebuild without changing any allocation input (group creation, writes
-// to removed groups, removal of an inactive group). The repair memo
-// stays valid, but absorbed (parked) marks go live — the forced rebuild
-// refreshes them on the eager side — and the next quiet tick absorbs
-// mid-walk marks the way that rebuild would.
-func (s *Scheduler) noteEagerRebuild() {
-	s.pendingAbsorb = true
-	s.promoteParked()
-}
-
-// promoteParked turns absorbed marks into live ones. Mutators that
-// invalidate the eager protocol without changing any allocation input
-// (group creation, writes to removed groups, removal of an inactive
-// group) keep the repair memo valid — but the eager rebuild they force
-// refreshes state absorbed during an earlier repair walk, so the next
-// repair tick must refresh it too.
-func (s *Scheduler) promoteParked() {
-	if len(s.parked) == 0 {
+	a := &s.gAcct[g.schedIdx]
+	if a.flags&acctAllocDirty != 0 {
 		return
 	}
-	for _, i := range s.parked {
-		a := &s.gAcct[i]
-		a.flags &^= acctAllocParked
-		if a.flags&acctAllocDirty == 0 {
-			a.flags |= acctAllocDirty
-			s.dirty = append(s.dirty, i)
-		}
-	}
-	s.parked = s.parked[:0]
+	a.flags |= acctAllocDirty
+	s.dirty = append(s.dirty, g.schedIdx)
 }
 
-// resetRepairState drops the dirty set after a full rebuild re-derived
+// resetRepairState drops the dirty set before a full rebuild re-derives
 // everything it tracked.
 func (s *Scheduler) resetRepairState() {
 	for _, i := range s.dirty {
 		s.gAcct[i].flags &^= acctAllocDirty
 	}
 	s.dirty = s.dirty[:0]
-	for _, i := range s.parked {
-		s.gAcct[i].flags &^= acctAllocParked
-	}
-	s.parked = s.parked[:0]
 	s.pendingTopFill = false
 	s.pendingResum = false
 }
 
 // settle brings the group's deferred accounting current before a read.
-// No-op outside repair mode and for removed groups (whose accounting
-// was settled when they were frozen).
+// No-op for removed groups (whose accounting was settled when they were
+// frozen).
 func (g *Group) settle() {
-	if g.removed || g.sched == nil || !g.sched.repair {
-		return
+	if !g.removed {
+		g.sched.settleLive(g.schedIdx)
 	}
-	g.sched.settleLive(g.schedIdx)
 }
 
 // settleLive settles group i to the present: through the current tick,
 // or through the previous tick when the current tick's walk has not
 // reached i yet (its accrual for this tick happens when the walk gets
-// there, exactly as the eager walk would expose it).
+// there, exactly as a full rebuild's walk would expose it).
 func (s *Scheduler) settleLive(i int) {
 	target := s.ticks
 	if s.inWalk && i > s.walkPos {
@@ -199,7 +114,7 @@ func (s *Scheduler) settleLive(i int) {
 // and including tick target: usage and window accrual at the memoized
 // rate, throttled time while the limit is binding, and the runnable
 // tasks' rates and usage. The replay repeats the identical per-tick
-// additions the eager walk performs, so the results are bit-identical.
+// additions a full walk performs, so the results are bit-identical.
 func (s *Scheduler) settleTo(i int, target uint64) {
 	done := s.gSettled[i]
 	if done >= target {
@@ -230,7 +145,7 @@ func (s *Scheduler) settleTo(i int, target uint64) {
 			continue
 		}
 		if t.OnTick != nil {
-			panic("cfs: OnTick installed after SetRunnable under IncrementalRepair (install OnTick before making the task runnable)")
+			panic("cfs: OnTick installed after SetRunnable (install OnTick before making the task runnable)")
 		}
 		t.LastRate = perTask
 		for j := uint64(0); j < k; j++ {
@@ -247,25 +162,22 @@ func (s *Scheduler) settleAllTo(target uint64) {
 	}
 }
 
-// quietTick is repair mode's steady-state tick: nothing is dirty, so
-// only the eager groups (whose OnTick callbacks must fire) and any
-// flag-dirty groups are walked, merged in ascending slot order. All
-// other accounting is deferred to settleTo.
+// quietTick is the steady-state tick: nothing is dirty, so only the
+// eager groups (whose OnTick callbacks must fire) and any flag-dirty
+// groups are walked, merged in ascending slot order. All other
+// accounting is deferred to settleTo.
 func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
+	s.totalRunnable = s.runnableNow
 	if len(s.flagsDirty) > 1 {
 		sort.Ints(s.flagsDirty)
 	}
-	absorb := s.walkAbsorbs
-	if absorb {
-		// The eager protocol is rebuilding this very tick (a group was
-		// created, or removed-group state written): its rebuild re-reads
-		// the runnable total before the walk and accumulates the load
-		// contribution at walk time. Mirror both, so a mid-walk OnTick
-		// block lands in this tick's observables identically.
-		s.totalRunnable = s.runnableNow
-		s.nrSnapIdx = s.nrSnapIdx[:0]
-		s.nrSnapVal = s.nrSnapVal[:0]
-	}
+	// Only a flag refresh can move the load contribution of a quiet
+	// tick. When one is pending, record the eager leaves' runnable
+	// counts as of their visit, so an OnTick block mid-walk does not
+	// leak into this tick's re-sum.
+	snap := len(s.flagsDirty) > 0
+	s.nrSnapIdx = s.nrSnapIdx[:0]
+	s.nrSnapVal = s.nrSnapVal[:0]
 	contribDirty := false
 	s.inWalk = true
 	ei, fi := 0, 0
@@ -292,7 +204,7 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 		s.walkPos = i
 		g := s.groups[i]
 		if eager {
-			if absorb {
+			if snap {
 				s.snapNr(i, g.runnable)
 			}
 			// Stamp before the walk body: tickGroup accrues this tick
@@ -317,19 +229,16 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 		s.flagsDirty = s.flagsDirty[:0]
 	}
 	if contribDirty {
-		if absorb {
-			s.recomputeLoadContribSnap()
-		} else {
-			s.recomputeLoadContrib()
-		}
+		s.recomputeLoadContrib()
 	}
 }
 
 // refreshQuiet re-evaluates a flag-dirty quiet group mid-walk: settle
 // its deferred ticks, accrue the current tick, and re-run the throttle
-// evaluation exactly as the eager fast path would. Inactive groups need
-// nothing (the eager path drops their mark unexamined too). Reports
-// whether a leaf throttle flag moved.
+// evaluation exactly as the rebuild would. Inactive groups need nothing:
+// their zero rate cannot bind a limit, and the tick that made them
+// inactive already cleared their throttle state. Reports whether a leaf
+// throttle flag moved.
 func (s *Scheduler) refreshQuiet(now sim.Time, i int, g *Group, dt time.Duration, dtSec float64) bool {
 	rate := s.gRate[i]
 	if rate <= 0 {
@@ -364,26 +273,10 @@ func (s *Scheduler) refreshQuiet(now sim.Time, i int, g *Group, dt time.Duration
 func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	prev := s.ticks - 1
 	s.totalRunnable = s.runnableNow
-	// Parked marks (mutations absorbed during an earlier repair walk)
-	// join this tick's repair, exactly as the eager protocol's next
-	// full rebuild picks up state it absorbed mid-walk.
-	for _, i := range s.parked {
-		s.gAcct[i].flags &^= acctAllocParked
-	}
-	s.dirty = append(s.dirty, s.parked...)
-	s.parked = s.parked[:0]
 	sort.Ints(s.dirty)
-	// A parked group promoted by a later mutation appears twice.
-	dd := s.dirty[:0]
-	for k, i := range s.dirty {
-		if k == 0 || i != dd[len(dd)-1] {
-			dd = append(dd, i)
-		}
-	}
-	s.dirty = dd
-	// The dirty set is stable for the rest of the tick: marks made by
-	// OnTick callbacks during the walk are parked by noteAllocChange
-	// (walkAbsorbs), never appended here.
+	// This tick repairs the dirty set as it stands now. Marks OnTick
+	// callbacks make during the walk append past it and are carried to
+	// the next tick below.
 	dirty := s.dirty
 	s.repairChanged = s.repairChanged[:0]
 	topFill := s.pendingTopFill
@@ -591,10 +484,10 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		// tick's sum, exactly as in the rebuild's interleaved
 		// accumulation.
 		s.recomputeUsedSlack()
-		s.recomputeLoadContribSnap()
+		s.recomputeLoadContrib()
 	}
 
-	s.dirty = s.dirty[:0]
+	s.dirty = append(s.dirty[:0], s.dirty[len(dirty):]...)
 	for _, i := range s.flagsDirty {
 		s.gAcct[i].flags &^= acctFlagsDirty
 	}
@@ -722,9 +615,12 @@ func (s *Scheduler) snapNr(i, nr int) {
 	s.nrSnapVal = append(s.nrSnapVal, nr)
 }
 
-// recomputeLoadContribSnap is recomputeLoadContrib with walk-time
-// runnable counts for the leaves this repair tick walked.
-func (s *Scheduler) recomputeLoadContribSnap() {
+// recomputeLoadContrib re-derives the load contribution as the same
+// ascending ordered sum the rebuild computes, so the filter input stays
+// bit-identical. Leaves this tick's walk visited contribute their
+// runnable counts as of the visit (snapNr), like the rebuild's
+// interleaved accumulation.
+func (s *Scheduler) recomputeLoadContrib() {
 	contrib := 0.0
 	k := 0
 	for _, i := range s.active {
@@ -833,9 +729,9 @@ func patchIdxList(list []int, removed int) []int {
 }
 
 // compactThrottledIdx dedupes the throttled superset list down to the
-// currently flagged groups. Under repair, rebuilds (which reset the
-// list) may never run, so repeated throttle cycles would otherwise grow
-// it without bound.
+// currently flagged groups. Rebuilds (which reset the list) may never
+// run, so repeated throttle cycles would otherwise grow it without
+// bound.
 func (s *Scheduler) compactThrottledIdx() {
 	sort.Ints(s.throttledIdx)
 	out := s.throttledIdx[:0]

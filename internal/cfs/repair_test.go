@@ -4,16 +4,21 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
-// mirror drives an eager scheduler and a repair scheduler through the
-// same operation sequence and asserts every observable value stays
-// bit-identical. It is the executable form of the equivalence argument
-// in DESIGN.md §15.
+// mirror drives two schedulers through the same operation sequence and
+// asserts every observable value stays bit-identical: the eager arm is
+// the reference, ticked through TickRebuild so it rebuilds the whole
+// allocation every tick; the repair arm ticks through the production
+// dispatch. It is the executable form of the equivalence argument in
+// DESIGN.md §15. When a comparison fails, the last flightEvents trace
+// events of both arms are logged.
 type mirror struct {
 	t     *testing.T
 	eager *Scheduler
@@ -40,11 +45,14 @@ func newMirror(t *testing.T, ncpu int) *mirror {
 	m := &mirror{
 		t:     t,
 		eager: NewScheduler(ncpu),
-		rep:   NewSchedulerOpts(ncpu, Options{IncrementalRepair: true}),
+		rep:   NewScheduler(ncpu),
 		dt:    time.Millisecond,
 	}
 	m.eager.LoadAvgTau = time.Second
 	m.rep.LoadAvgTau = time.Second
+	m.eager.Trace = telemetry.New(flightEvents)
+	m.rep.Trace = telemetry.New(flightEvents)
+	FlightRecorder(t, m.eager.Trace, m.rep.Trace)
 	return m
 }
 
@@ -119,7 +127,7 @@ func (m *mirror) removeGroup(group int) {
 
 func (m *mirror) tick() {
 	m.now += m.dt
-	m.eager.Tick(m.now, m.dt)
+	m.eager.TickRebuild(m.now, m.dt)
 	m.rep.Tick(m.now, m.dt)
 }
 
@@ -143,10 +151,7 @@ func (m *mirror) check(ctx string) {
 		eq(fmt.Sprintf("gCap[%d] (%s)", i, m.eager.groups[i].Name), m.eager.gCap[i], m.rep.gCap[i])
 		eq(fmt.Sprintf("gRate[%d] (%s)", i, m.eager.groups[i].Name), m.eager.gRate[i], m.rep.gRate[i])
 	}
-	// The eager arm leaves its active list stale after RemoveGroup
-	// (listsValid=false, rebuilt next tick); the repair arm patches it
-	// immediately. Only compare when the eager list is current.
-	if la, lb := m.eager.active, m.rep.active; m.eager.listsValid && !intSliceEq(la, lb) {
+	if la, lb := m.eager.active, m.rep.active; !intSliceEq(la, lb) {
 		t.Fatalf("%s: active diverged: eager %v repair %v", ctx, la, lb)
 	}
 	eq("loadContrib", m.eager.loadContrib, m.rep.loadContrib)
@@ -225,13 +230,13 @@ func (m *mirror) checkRepairInvariants(ctx string) {
 		have[i] = true
 	}
 	for _, i := range wantEager {
-		if !have[i] && s.gAcct[i].flags&(acctAllocDirty|acctAllocParked) == 0 {
+		if !have[i] && s.gAcct[i].flags&acctAllocDirty == 0 {
 			t.Fatalf("%s: eagerIdx %v missing %d and it is not dirty", ctx, s.eagerIdx, i)
 		}
 		delete(have, i)
 	}
 	for i := range have {
-		if s.gAcct[i].flags&(acctAllocDirty|acctAllocParked) == 0 {
+		if s.gAcct[i].flags&acctAllocDirty == 0 {
 			t.Fatalf("%s: eagerIdx %v has stale non-dirty entry %d", ctx, s.eagerIdx, i)
 		}
 	}
@@ -609,7 +614,7 @@ func TestRepairEscalationBoundary(t *testing.T) {
 		// values, which would leave the dirty set short.
 		round++
 		for i := 0; i < k; i++ {
-			sh := int64(512 + 512*(i%3)) + round
+			sh := int64(512+512*(i%3)) + round
 			m.eager.SetShares(m.groups[gis[i]].e, sh)
 			m.rep.SetShares(m.groups[gis[i]].r, sh)
 		}
@@ -693,4 +698,193 @@ func TestRepairLongDeferralSettlesOnRead(t *testing.T) {
 		t.Fatalf("plain group was not deferred (settled=%d ticks=%d)", settled, m.rep.ticks)
 	}
 	m.check("after 700 deferred ticks")
+}
+
+// TestOnTickLateInstallPanics pins the first half of the OnTick
+// contract: a callback installed on an already-runnable task is caught
+// when the group's deferred ticks are settled, instead of silently
+// missing the ticks the scheduler deferred.
+func TestOnTickLateInstallPanics(t *testing.T) {
+	s := NewScheduler(2)
+	g := s.NewGroup("g")
+	task := s.NewTask(g, "t")
+	s.SetRunnable(task, true)
+	for i := 1; i <= 3; i++ {
+		s.Tick(time.Duration(i)*time.Millisecond, time.Millisecond)
+	}
+	task.OnTick = func(time.Duration, units.CPUSeconds, units.CPUSeconds) {}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "OnTick installed after SetRunnable") {
+			t.Errorf("recover() = %v, want the late-OnTick contract panic", r)
+		}
+	}()
+	g.Usage()
+}
+
+// TestOnTickBlockAppliesNextTick pins the second half: a task an OnTick
+// callback blocks mid-walk stops receiving CPU from the next tick on,
+// whichever path — the first rebuild, a quiet tick, a repair, or an
+// escalation rebuild — ran the tick in which it blocked.
+func TestOnTickBlockAppliesNextTick(t *testing.T) {
+	const others = 2 * repairEscalateMin
+	for _, tc := range []struct {
+		name    string
+		warm    int               // ticks before the blocking tick
+		ctr     telemetry.Counter // counter the blocking tick bumps
+		prepare func(s *Scheduler, gs []*Group)
+	}{
+		{"first-rebuild", 0, telemetry.CtrTickRebuilds, nil},
+		{"quiet", 3, telemetry.CtrSchedTicks, nil},
+		{"repair", 3, telemetry.CtrTickRepairs, func(s *Scheduler, gs []*Group) {
+			s.SetShares(gs[0], 2048)
+		}},
+		{"escalation", 3, telemetry.CtrRepairEscalations, func(s *Scheduler, gs []*Group) {
+			for i, g := range gs {
+				s.SetShares(g, 2048+int64(i))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler(8)
+			s.Trace = telemetry.New(0)
+			var gs []*Group
+			for i := 0; i < others; i++ {
+				g := s.NewGroup(fmt.Sprintf("g%d", i))
+				s.SetRunnable(s.NewTask(g, "t"), true)
+				gs = append(gs, g)
+			}
+			cb := s.NewGroup("cb")
+			task := s.NewTask(cb, "t")
+			armed := false
+			task.OnTick = func(time.Duration, units.CPUSeconds, units.CPUSeconds) {
+				if armed {
+					s.SetRunnable(task, false)
+				}
+			}
+			s.SetRunnable(task, true)
+			now := time.Duration(0)
+			tick := func() {
+				now += time.Millisecond
+				s.Tick(now, time.Millisecond)
+			}
+			for i := 0; i < tc.warm; i++ {
+				tick()
+			}
+			if tc.prepare != nil {
+				tc.prepare(s, gs)
+			}
+			armed = true
+			count := s.Trace.Count
+			hit, repairs, rebuilds := count(tc.ctr), count(telemetry.CtrTickRepairs), count(telemetry.CtrTickRebuilds)
+			tick()
+			if task.Runnable() {
+				t.Fatal("callback did not block its task")
+			}
+			if d := count(tc.ctr) - hit; d != 1 {
+				t.Fatalf("blocking tick bumped %v by %d, want 1", tc.ctr, d)
+			}
+			if tc.ctr == telemetry.CtrSchedTicks &&
+				(count(telemetry.CtrTickRepairs) != repairs || count(telemetry.CtrTickRebuilds) != rebuilds) {
+				t.Fatal("blocking tick was not quiet")
+			}
+			tick()
+			if r := cb.LastRate(); r != 0 {
+				t.Errorf("blocked group's rate the tick after the block = %v, want 0", r)
+			}
+			if n := s.TotalRunnable(); n != others {
+				t.Errorf("TotalRunnable the tick after the block = %d, want %d", n, others)
+			}
+		})
+	}
+}
+
+// TestOnTickLimitWriteAppliesNextTick covers a limit write from inside
+// a walk: a cap-preserving quota change an OnTick callback makes during
+// a quiet tick must neither be accounted twice in that tick nor lost.
+func TestOnTickLimitWriteAppliesNextTick(t *testing.T) {
+	m := newMirror(t, 1)
+	for _, name := range []string{"a", "b"} {
+		gi := m.newGroup(name)
+		ti := m.newTask(gi, "t", 0)
+		tk := &m.tasks[ti]
+		for _, arm := range []struct {
+			s    *Scheduler
+			g    *Group
+			task *Task
+		}{{m.eager, m.groups[gi].e, tk.e}, {m.rep, m.groups[gi].r, tk.r}} {
+			calls := 0
+			arm.task.OnTick = func(time.Duration, units.CPUSeconds, units.CPUSeconds) {
+				calls++
+				if calls == 5 {
+					// One CPU: the single task's cap already, so only
+					// the throttle state can move.
+					arm.s.SetQuota(arm.g, 100_000, 100_000)
+				}
+			}
+		}
+		m.setRunnable(ti, true)
+	}
+	for i := 0; i < 12; i++ {
+		m.tick()
+		m.check(fmt.Sprintf("tick %d", i+1))
+	}
+}
+
+// TestQuietTickMidWalkBlockWithFlagRefresh covers a quiet tick that both
+// re-sums the load contribution (a cap-preserving quota write flips a
+// throttle flag) and runs an OnTick callback that blocks its own task:
+// the re-sum must count the blocked task as the rebuild's walk did.
+func TestQuietTickMidWalkBlockWithFlagRefresh(t *testing.T) {
+	m := newMirror(t, 2)
+	e := m.newGroup("e")
+	te := m.newTask(e, "t", 0)
+	block := false
+	for _, arm := range []struct {
+		s    *Scheduler
+		task *Task
+	}{{m.eager, m.tasks[te].e}, {m.rep, m.tasks[te].r}} {
+		arm.task.OnTick = func(time.Duration, units.CPUSeconds, units.CPUSeconds) {
+			if block {
+				arm.s.SetRunnable(arm.task, false)
+			}
+		}
+	}
+	m.setRunnable(te, true)
+	f := m.newGroup("f")
+	m.setRunnable(m.newTask(f, "t", 0), true)
+	for i := 0; i < 3; i++ {
+		m.tick()
+	}
+	m.check("steady")
+	// f runs at its cap of one CPU; a one-CPU quota keeps the cap and
+	// makes the limit bind.
+	m.eager.SetQuota(m.groups[f].e, 100_000, 100_000)
+	m.rep.SetQuota(m.groups[f].r, 100_000, 100_000)
+	block = true
+	m.tick()
+	m.check("block and throttle in one quiet tick")
+	if !m.groups[f].r.Throttled() {
+		t.Fatal("quota write did not throttle f")
+	}
+}
+
+// TestRepairRemoveCaplessRunnableGroup covers a top-level group whose
+// zero quota leaves it runnable but outside the fill: removing it moves
+// no allocation, so the next tick is quiet, and the runnable total must
+// still drop.
+func TestRepairRemoveCaplessRunnableGroup(t *testing.T) {
+	m := newMirror(t, 2)
+	a := m.newGroup("a")
+	m.setRunnable(m.newTask(a, "t", 0), true)
+	z := m.newGroup("z")
+	m.eager.SetQuota(m.groups[z].e, 0, 100_000)
+	m.rep.SetQuota(m.groups[z].r, 0, 100_000)
+	m.setRunnable(m.newTask(z, "t", 0), true)
+	for i := 0; i < 3; i++ {
+		m.tick()
+	}
+	m.check("steady")
+	m.removeGroup(z)
+	m.tick()
+	m.check("after removal")
 }

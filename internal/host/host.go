@@ -89,9 +89,9 @@ type Config struct {
 	// published).
 	NSOptions sysns.Options
 
-	// CFSOptions tunes the CFS fluid scheduler (zero = the eager
-	// rebuild protocol every golden experiment uses; see cfs.Options
-	// for the incremental-repair knob scalebench turns on).
+	// Deprecated: CFSOptions is ignored. The CFS scheduler has one tick
+	// protocol (dirty-set repair) and no options; the field remains so
+	// existing configurations compile.
 	CFSOptions cfs.Options
 
 	// EventShards, when positive, switches the cgroup hierarchy to
@@ -152,7 +152,7 @@ func New(cfg Config) *Host {
 		tick = time.Millisecond
 	}
 	clock := sim.NewClock(tick)
-	sched := cfs.NewSchedulerOpts(cfg.CPUs, cfg.CFSOptions)
+	sched := cfs.NewScheduler(cfg.CPUs)
 	mem := memctl.New(memctl.Config{
 		Total:         cfg.Memory,
 		SwapCapacity:  cfg.SwapCapacity,

@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"time"
 
-	"arv/internal/cfs"
 	"arv/internal/container"
 	"arv/internal/faults"
 	"arv/internal/host"
@@ -66,20 +65,13 @@ type Config struct {
 	// Shards sizes sharded cgroup event dispatch (0 = synchronous
 	// delivery). Defaults to 8 via Defaults.
 	Shards int
-	// Repair enables the scheduler's dirty-set incremental tick repair
-	// (cfs.Options.IncrementalRepair): churn marks groups dirty instead
-	// of invalidating the whole allocation, and quiet groups settle
-	// their accounting on read. Defaults on via Defaults — it is the
-	// mode the BENCH_scale.json trajectory measures; clear it after
-	// Defaults to A/B the eager rebuild path.
-	Repair bool
 }
 
 // Defaults returns the canonical scale configuration for n containers
 // with churn on, as reported in BENCH_scale.json. All duration and size
 // fields are resolved, so callers can read Span/Warmup directly.
 func Defaults(n int) Config {
-	return Config{Containers: n, Churn: true, Batched: true, Shards: 8, Repair: true}.withDefaults()
+	return Config{Containers: n, Churn: true, Batched: true, Shards: 8}.withDefaults()
 }
 
 // withDefaults resolves zero fields.
@@ -127,7 +119,6 @@ func Build(cfg Config) *Bench {
 		Memory:      cfg.Memory,
 		Seed:        cfg.Seed,
 		NSOptions:   sysns.Options{BatchedRecompute: cfg.Batched},
-		CFSOptions:  cfs.Options{IncrementalRepair: cfg.Repair},
 		EventShards: cfg.Shards,
 	})
 	// Pin the view-update interval at the paper's 24ms base period: with

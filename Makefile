@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel perfbench-check ci
+.PHONY: build vet test race fuzz-smoke bench bench-scale bench-serve bench-gate profile cover docs golden golden-check golden-parallel perfbench-check ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Short native-fuzzing run of the ns_monitor mirror (production protocol
+# vs the full-walk reference over randomized hierarchy schedules; its
+# seed corpus also runs in `make test`). Part of `make ci`.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzMonitorMirror -fuzztime 10s ./internal/sysns/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .
@@ -101,4 +107,4 @@ golden-parallel:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test .
 
-ci: build vet docs test race bench bench-gate cover golden-check golden-parallel perfbench-check
+ci: build vet docs test race fuzz-smoke bench bench-gate cover golden-check golden-parallel perfbench-check

@@ -9,9 +9,9 @@ import (
 	"arv/internal/cfs"
 	"arv/internal/container"
 	"arv/internal/faults"
+	"arv/internal/flightrec"
 	"arv/internal/host"
 	"arv/internal/sim"
-	"arv/internal/sysns"
 	"arv/internal/telemetry"
 	"arv/internal/units"
 	"arv/internal/workloads"
@@ -32,10 +32,9 @@ func (r rebuildEveryTick) Tick(now sim.Time, dt time.Duration) { r.TickRebuild(n
 // reference set, the host's scheduler rebuilds every tick.
 func buildFaultMixHost(t *testing.T, reference bool) (*host.Host, []*container.Container) {
 	h := host.New(host.Config{
-		CPUs:      16,
-		Memory:    64 * units.GiB,
-		Seed:      7,
-		NSOptions: sysns.Options{BatchedRecompute: true},
+		CPUs:   16,
+		Memory: 64 * units.GiB,
+		Seed:   7,
 	})
 	if reference {
 		// The kernel loop drives the subsystems through this slice.
@@ -110,7 +109,7 @@ func TestRepairMatchesEagerUnderFaultMix(t *testing.T) {
 	hr, cr := buildFaultMixHost(t, false)
 	tre := he.EnableTelemetry(0)
 	trr := hr.EnableTelemetry(0)
-	cfs.FlightRecorder(t, tre, trr)
+	flightrec.Record(t, flightrec.Arm{Name: "eager", Trace: tre}, flightrec.Arm{Name: "repair", Trace: trr})
 
 	feq := func(ctx string, a, b float64) {
 		t.Helper()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"arv/internal/flightrec"
 	"arv/internal/telemetry"
 	"arv/internal/units"
 )
@@ -50,9 +51,9 @@ func newMirror(t *testing.T, ncpu int) *mirror {
 	}
 	m.eager.LoadAvgTau = time.Second
 	m.rep.LoadAvgTau = time.Second
-	m.eager.Trace = telemetry.New(flightEvents)
-	m.rep.Trace = telemetry.New(flightEvents)
-	FlightRecorder(t, m.eager.Trace, m.rep.Trace)
+	m.eager.Trace = telemetry.New(flightrec.Events)
+	m.rep.Trace = telemetry.New(flightrec.Events)
+	flightrec.Record(t, flightrec.Arm{Name: "eager", Trace: m.eager.Trace}, flightrec.Arm{Name: "repair", Trace: m.rep.Trace})
 	return m
 }
 

@@ -154,9 +154,9 @@ func (h *Hierarchy) publish(e Event) {
 // delivery (n <= 0, the default — every golden experiment uses it) and
 // sharded deferred delivery across n per-cgroup-keyed FIFO queues. In
 // sharded mode a churn storm costs one append per event; subscribers
-// see the whole backlog in one deterministic batch when Drain runs —
-// which ns_monitor does at every batched-recompute flush boundary, so
-// the two levers compose (host.Config.EventShards pairs them).
+// see the whole backlog in one deterministic batch when Drain runs,
+// which ns_monitor does at every read boundary (host.Config.EventShards
+// turns this mode on).
 //
 // Per-cgroup event order is preserved (a cgroup always lands in the
 // same shard); cross-cgroup order is relaxed to shard order, which the

@@ -97,11 +97,11 @@ type Config struct {
 	// EventShards, when positive, switches the cgroup hierarchy to
 	// sharded deferred event dispatch (cgroups.SetShardedDispatch):
 	// churn-storm events append to per-shard FIFO queues and are
-	// delivered in one deterministic batch at the monitor's next flush
-	// boundary instead of synchronously per event. Pair it with
-	// NSOptions.BatchedRecompute — the monitor's batched flush is what
-	// drains the queues. Zero (the default, and what every golden
-	// experiment uses) keeps synchronous dispatch.
+	// delivered in one deterministic batch at the monitor's next read
+	// boundary (update round, snapshot cut, staleness scan, or bounds
+	// read), which drains the queues, instead of synchronously per
+	// event. Zero (the default, and what every golden experiment uses)
+	// keeps synchronous dispatch.
 	EventShards int
 
 	// Seed seeds the host's deterministic RNG.

@@ -21,7 +21,6 @@ import (
 	"arv/internal/container"
 	"arv/internal/faults"
 	"arv/internal/host"
-	"arv/internal/sysns"
 	"arv/internal/telemetry"
 	"arv/internal/units"
 )
@@ -56,12 +55,6 @@ type Config struct {
 	Warmup time.Duration
 	// Seed drives the host RNG and the churn schedule.
 	Seed uint64
-	// Batched enables the monitor's coalesced bounds-recompute mode
-	// (sysns.Options.BatchedRecompute): a churn interval's worth of
-	// dirty marks becomes one recompute pass per update round. Defaults
-	// on — it is the mode the BENCH_scale.json trajectory measures; set
-	// it false (with Defaults, clear it after) to A/B the eager path.
-	Batched bool
 	// Shards sizes sharded cgroup event dispatch (0 = synchronous
 	// delivery). Defaults to 8 via Defaults.
 	Shards int
@@ -71,7 +64,7 @@ type Config struct {
 // with churn on, as reported in BENCH_scale.json. All duration and size
 // fields are resolved, so callers can read Span/Warmup directly.
 func Defaults(n int) Config {
-	return Config{Containers: n, Churn: true, Batched: true, Shards: 8}.withDefaults()
+	return Config{Containers: n, Churn: true, Shards: 8}.withDefaults()
 }
 
 // withDefaults resolves zero fields.
@@ -118,7 +111,6 @@ func Build(cfg Config) *Bench {
 		CPUs:        cfg.CPUs,
 		Memory:      cfg.Memory,
 		Seed:        cfg.Seed,
-		NSOptions:   sysns.Options{BatchedRecompute: cfg.Batched},
 		EventShards: cfg.Shards,
 	})
 	// Pin the view-update interval at the paper's 24ms base period: with

@@ -11,15 +11,17 @@ import (
 	"arv/internal/units"
 )
 
-// batchedPair is a batched monitor and a full-recompute reference over
-// one sharded hierarchy. The reference rebuilds from live state at every
-// delivered trigger, so wherever the batched contract promises "live
-// state at a flush boundary" the two must agree exactly.
+// batchedPair is a production monitor and the full-walk reference over
+// one hierarchy with sharded event dispatch: events batch up in the
+// shard queues until a read boundary delivers them, and Σw_j passes
+// defer to the same boundary. The reference rebuilds from live state at
+// every delivered trigger, so at every read boundary the two must agree
+// on the bounds exactly.
 type batchedPair struct {
 	clock *sim.Clock
 	hier  *cgroups.Hierarchy
-	mB    *Monitor // batched deferred recompute
-	mR    *Monitor // DisableIncremental: full recompute per trigger
+	mB    *Monitor // production protocol
+	mR    *Monitor // full-walk reference
 }
 
 func newBatchedPair(cpus, shards int) *batchedPair {
@@ -28,12 +30,14 @@ func newBatchedPair(cpus, shards int) *batchedPair {
 	mem := memctl.New(memctl.Config{Total: 64 * units.GiB})
 	hier := cgroups.NewHierarchy(sched, mem)
 	hier.SetShardedDispatch(shards)
-	return &batchedPair{
+	p := &batchedPair{
 		clock: clock,
 		hier:  hier,
-		mB:    NewMonitor(hier, clock, Options{BatchedRecompute: true}),
-		mR:    NewMonitor(hier, clock, Options{DisableIncremental: true}),
+		mB:    NewMonitor(hier, clock, Options{}),
+		mR:    NewMonitor(hier, clock, Options{}),
 	}
+	p.mR.UseFullWalk()
+	return p
 }
 
 func (p *batchedPair) addContainer(t *testing.T, name string) *cgroups.Cgroup {
@@ -44,8 +48,8 @@ func (p *batchedPair) addContainer(t *testing.T, name string) *cgroups.Cgroup {
 	return cg
 }
 
-// checkBounds flushes both monitors (the bounds read is the batched
-// flush boundary) and asserts they agree on cg.
+// checkBounds reads both monitors (a bounds read is a read boundary)
+// and asserts they agree on cg.
 func (p *batchedPair) checkBounds(t *testing.T, when string, cg *cgroups.Cgroup) (lower, upper int) {
 	t.Helper()
 	nsB, nsR := p.mB.Lookup(cg), p.mR.Lookup(cg)
@@ -55,10 +59,13 @@ func (p *batchedPair) checkBounds(t *testing.T, when string, cg *cgroups.Cgroup)
 	bl, bu := nsB.CPUBounds()
 	rl, ru := nsR.CPUBounds()
 	if bl != rl || bu != ru {
-		t.Fatalf("%s: %s bounds diverged: batched [%d,%d], reference [%d,%d]", when, cg.Name, bl, bu, rl, ru)
+		t.Fatalf("%s: %s bounds diverged: production [%d,%d], reference [%d,%d]", when, cg.Name, bl, bu, rl, ru)
 	}
 	if e := nsB.EffectiveCPU(); e < bl || e > bu {
-		t.Fatalf("%s: %s batched E_CPU %d outside [%d,%d]", when, cg.Name, e, bl, bu)
+		t.Fatalf("%s: %s production E_CPU %d outside [%d,%d]", when, cg.Name, e, bl, bu)
+	}
+	if e, r := nsB.EffectiveCPU(), nsR.EffectiveCPU(); e != r {
+		t.Fatalf("%s: %s E_CPU diverged: production %d, reference %d", when, cg.Name, e, r)
 	}
 	return bl, bu
 }
@@ -68,7 +75,7 @@ func (p *batchedPair) checkBounds(t *testing.T, when string, cg *cgroups.Cgroup)
 // either side of it: the round's flush must deliver and absorb an event
 // queued before UpdateAll runs, and an event published right after the
 // round must be absorbed by the next read — in both cases the flushed
-// bounds equal the full-recompute reference.
+// bounds equal the full-walk reference.
 func TestBatchedEventOnUpdateBoundary(t *testing.T) {
 	p := newBatchedPair(8, 2)
 	c0 := p.addContainer(t, "c0")
@@ -108,7 +115,7 @@ func TestBatchedEventOnUpdateBoundary(t *testing.T) {
 // cgroup, FIFO) until a single flush delivers creation through removal
 // back-to-back. The flush must detach the namespace, roll its share
 // contribution out of the cache, freeze the handle for post-mortem
-// readers, and leave the survivors exactly where the full-recompute
+// readers, and leave the survivors exactly where the full-walk
 // reference puts them.
 func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 	p := newBatchedPair(8, 2)
@@ -135,7 +142,7 @@ func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 		t.Fatal("tmp still attached after its Removed event was drained")
 	}
 	if want := p.mR.totalTop; p.mB.totalTop != want {
-		t.Fatalf("batched totalTop = %d after create+remove coalesced, reference %d", p.mB.totalTop, want)
+		t.Fatalf("production totalTop = %d after create+remove coalesced, reference %d", p.mB.totalTop, want)
 	}
 
 	// The frozen handle keeps the last live view even after its slot is
@@ -161,9 +168,9 @@ func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 }
 
 // TestBatchedSuppressionRecovery drives the suppressed-event recovery
-// path under the batched layout: an interceptor-dropped limit change
+// path under sharded dispatch: an interceptor-dropped limit change
 // moves live state without a delivered event, so the share cache is
-// stale and no dirty mark exists. The next delivered trigger must
+// stale and no Σw_j pass is armed. The next delivered trigger must
 // detect the suppression-counter mismatch and force a FullRecompute —
 // eagerly, exactly as on the synchronous path — bringing the dropped
 // change into the bounds.
@@ -183,8 +190,8 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 	if p.hier.Queued() != 0 {
 		t.Fatal("suppressed event was queued anyway")
 	}
-	// No delivered trigger yet: the batched monitor must still hold the
-	// pre-drop bounds (stale, as the contract allows until recovery).
+	// No delivered trigger yet: the production monitor must still hold
+	// the pre-drop bounds (stale until recovery).
 	if l, _ := p.mB.Lookup(c0).CPUBounds(); l != l0 {
 		t.Fatalf("c0 lower bound %d before any delivered trigger, want stale %d", l, l0)
 	}
@@ -200,10 +207,46 @@ func TestBatchedSuppressionRecovery(t *testing.T) {
 		t.Fatalf("c0 lower bound = %d after recovery, want 7 (dropped shares absorbed)", lower)
 	}
 	if p.mB.seenSuppressed != p.hier.Suppressed() {
-		t.Fatalf("batched monitor seenSuppressed = %d, hierarchy %d: recovery did not resynchronize",
+		t.Fatalf("production monitor seenSuppressed = %d, hierarchy %d: recovery did not resynchronize",
 			p.mB.seenSuppressed, p.hier.Suppressed())
 	}
-	if p.mB.boundsDirtyAll || len(p.mB.dirtyTops) != 0 {
-		t.Fatal("recovery FullRecompute left stale dirty marks behind")
+	if p.mB.sumMoved {
+		t.Fatal("recovery FullRecompute left a Σw_j pass armed")
+	}
+}
+
+// TestDroppedEventStaysStaleAcrossPass pins the drop contract of the
+// deferred Σw_j pass: the pass rebuilds lower bounds from the inputs
+// delivered events left in the slots and never reads live hierarchy
+// state, so a dropped quota write stays invisible through it — the
+// upper bound stays stale until the next delivered event runs the
+// suppression recovery. A pass that re-read live limits would quietly
+// heal the drop, and the fault model would depend on whether a pass
+// happened to be pending.
+func TestDroppedEventStaysStaleAcrossPass(t *testing.T) {
+	f := newFixture(8, 16*units.GiB)
+	c0, ns0 := f.attach("c0")
+	c1, _ := f.attach("c1") // a second top-level entity moves Σw_j
+	if !f.mon.sumMoved {
+		t.Fatal("no Σw_j pass pending after the second top-level attach")
+	}
+
+	f.hier.Intercept(func(cgroups.Event) bool { return false })
+	c0.SetQuotaCPUs(2)
+	f.hier.Intercept(nil)
+	lower, upper := ns0.CPUBounds() // runs the pending pass
+	if upper != 8 {
+		t.Fatalf("c0 upper = %d after its quota event was dropped, want stale 8", upper)
+	}
+	if lower != 4 {
+		t.Fatalf("c0 lower = %d after the pass, want 4 (half of 8 CPUs)", lower)
+	}
+	if f.mon.sumMoved {
+		t.Fatal("the bounds read left the Σw_j pass pending")
+	}
+
+	c1.SetShares(1024) // delivered (a no-op write still publishes)
+	if _, upper := ns0.CPUBounds(); upper != 2 {
+		t.Fatalf("c0 upper = %d after the next delivered event, want 2", upper)
 	}
 }

@@ -8,16 +8,19 @@ import (
 
 	"arv/internal/cfs"
 	"arv/internal/cgroups"
+	"arv/internal/flightrec"
 	"arv/internal/memctl"
 	"arv/internal/sim"
+	"arv/internal/telemetry"
 	"arv/internal/units"
 )
 
-// mirror is a trio of monitors over one hierarchy: mA on the incremental
-// dirty-subtree path, mB pinned to the historical full-recompute path,
-// mC on the batched deferred-recompute path. Every cgroup is attached to
-// all three or none, so after any hierarchy operation (and, for mC, a
-// flush) they must agree on every namespace's bounds.
+// mirror is a trio of monitors over one hierarchy: mA and mC run the
+// production recompute protocol, mB the test-only full-walk reference
+// (UseFullWalk). mA is read after every step, so each of its deferred
+// Σw_j passes covers one operation; mC is read only every lazyEvery
+// steps, so its passes coalesce several operations' moves. Every cgroup
+// is attached to all three or none.
 type mirror struct {
 	clock *sim.Clock
 	sched *cfs.Scheduler
@@ -27,66 +30,98 @@ type mirror struct {
 	mC    *Monitor
 }
 
-func newMirror(cpus int) *mirror {
+// lazyEvery is how many steps mC's deferred work accumulates between
+// reads.
+const lazyEvery = 5
+
+func newMirror(t testing.TB, cpus int) *mirror {
 	clock := sim.NewClock(time.Millisecond)
 	sched := cfs.NewScheduler(cpus)
 	mem := memctl.New(memctl.Config{Total: 64 * units.GiB})
 	hier := cgroups.NewHierarchy(sched, mem)
-	return &mirror{
+	m := &mirror{
 		clock: clock,
 		sched: sched,
 		hier:  hier,
 		mA:    NewMonitor(hier, clock, Options{}),
-		mB:    NewMonitor(hier, clock, Options{DisableIncremental: true}),
-		mC:    NewMonitor(hier, clock, Options{BatchedRecompute: true}),
+		mB:    NewMonitor(hier, clock, Options{}),
+		mC:    NewMonitor(hier, clock, Options{}),
 	}
+	m.mB.UseFullWalk()
+	// The monitors emit nothing here (no update rounds run), so the
+	// harness writes each step's operation into every arm's ring (see
+	// record).
+	names := []string{"production", "full-walk", "lazy"}
+	var arms []flightrec.Arm
+	for i, mon := range m.monitors() {
+		mon.Trace = telemetry.New(flightrec.Events)
+		arms = append(arms, flightrec.Arm{Name: names[i], Trace: mon.Trace})
+	}
+	flightrec.Record(t, arms...)
+	return m
 }
+
+func (m *mirror) monitors() []*Monitor { return []*Monitor{m.mA, m.mB, m.mC} }
 
 func (m *mirror) attach(cg *cgroups.Cgroup) { m.mA.Attach(cg); m.mB.Attach(cg); m.mC.Attach(cg) }
 func (m *mirror) detach(cg *cgroups.Cgroup) { m.mA.Detach(cg); m.mB.Detach(cg); m.mC.Detach(cg) }
 
-// check asserts (1) the incremental monitor agrees with the legacy one
-// on every namespace, (2) the incremental and batched caches match a
-// fresh derivation from the live hierarchy, and (3) the batched
-// monitor's flushed bounds are a fixed point of FullRecompute — nothing
-// a deferred mark carried was lost — with E_CPU inside them.
-//
-// The batched monitor is deliberately NOT compared against the eager
-// pair's bounds: the eager contract preserves the historical walk's
-// trigger-time inputs (a pod member created without attaching dilutes
-// its siblings only at the next recompute trigger, via pendingTops),
-// while a batched flush recomputes from live state and may absorb such
-// a dilution earlier. For flat fleets the two coincide — the
-// faults-package differential test asserts exactly that at host level —
-// but under pod schedules the batched contract is "live state at every
-// flush boundary", which the FullRecompute fixed point pins down.
-// E_CPU equality is likewise not part of the batched contract (the
-// clamp is stateful, so deferral is observable; see
-// Options.BatchedRecompute).
-func (m *mirror) check(t *testing.T, step int, op string) {
+// record emits one trace event per arm for a step: the operation and
+// its target as the actor, and the target's stored bounds on that arm
+// as A and B (-1 when it is not attached). It reads the slots directly,
+// so it is not a read boundary and shows pre-pass values. The event
+// time is the step number in milliseconds.
+func (m *mirror) record(step int, op string, cg *cgroups.Cgroup) {
+	for _, mon := range m.monitors() {
+		lower, upper := int64(-1), int64(-1)
+		if ns := mon.Lookup(cg); ns != nil {
+			c := ns.slotCPU()
+			lower, upper = int64(c.lowerCPU), int64(c.upperCPU)
+		}
+		mon.Trace.Emit(time.Duration(step)*time.Millisecond, telemetry.KindFault, op+" "+cg.Name, lower, upper)
+	}
+}
+
+// check asserts (1) the production monitor mA agrees with the full-walk
+// reference on every namespace's bounds and E_CPU, (2) both production
+// caches match a fresh derivation from the live hierarchy, and (3) at
+// every lazyEvery-th step, the lazy monitor mC's bounds equal the
+// reference's once its coalesced pass has run, with E_CPU inside them.
+// mC's E_CPU is not compared: the clamp is stateful, and one pass over
+// several Σw_j moves skips the intermediate bounds the reference
+// clamped through.
+func (m *mirror) check(t testing.TB, step int, op string) {
 	t.Helper()
 	if la, lb, lc := len(m.mA.order), len(m.mB.order), len(m.mC.order); la != lb || la != lc {
 		t.Fatalf("step %d (%s): namespace counts diverged: %d vs %d vs %d", step, op, la, lb, lc)
 	}
+	lazyRead := step%lazyEvery == lazyEvery-1
 	for _, nsA := range m.mA.order {
-		nsB := m.mB.Lookup(nsA.cg)
-		if nsB == nil {
-			t.Fatalf("step %d (%s): %s attached on incremental monitor only", step, op, nsA.cg.Name)
+		nsB, nsC := m.mB.Lookup(nsA.cg), m.mC.Lookup(nsA.cg)
+		if nsB == nil || nsC == nil {
+			t.Fatalf("step %d (%s): %s not attached on every monitor", step, op, nsA.cg.Name)
 		}
 		al, au := nsA.CPUBounds()
 		bl, bu := nsB.CPUBounds()
 		if al != bl || au != bu || nsA.EffectiveCPU() != nsB.EffectiveCPU() {
-			t.Fatalf("step %d (%s): %s bounds diverged: incremental [%d,%d] e=%d, full [%d,%d] e=%d",
+			t.Fatalf("step %d (%s): %s bounds diverged: production [%d,%d] e=%d, full walk [%d,%d] e=%d",
 				step, op, nsA.cg.Name, al, au, nsA.EffectiveCPU(), bl, bu, nsB.EffectiveCPU())
 		}
-		if m.mC.Lookup(nsA.cg) == nil {
-			t.Fatalf("step %d (%s): %s missing on batched monitor", step, op, nsA.cg.Name)
+		if !lazyRead {
+			continue
+		}
+		cl, cu := nsC.CPUBounds() // read boundary: the coalesced pass runs here
+		if cl != bl || cu != bu {
+			t.Fatalf("step %d (%s): %s lazy bounds [%d,%d], full walk [%d,%d]", step, op, nsA.cg.Name, cl, cu, bl, bu)
+		}
+		if e := nsC.EffectiveCPU(); e < cl || e > cu {
+			t.Fatalf("step %d (%s): %s lazy E_CPU %d outside bounds [%d,%d]", step, op, nsA.cg.Name, e, cl, cu)
 		}
 	}
 
-	// Cache invariants, derived the way FullRecompute would. The batched
-	// monitor maintains the same cache with eager per-event deltas, so it
-	// is held to the identical invariant.
+	// Cache invariants, derived the way FullRecompute would. The cache
+	// takes its deltas at event time, so the lazy monitor is held to
+	// the identical invariant between its reads.
 	var totalTop int64
 	refs := make(map[*cgroups.Cgroup]int)
 	for _, ns := range m.mA.order {
@@ -99,7 +134,7 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 	for _, mon := range []struct {
 		name string
 		m    *Monitor
-	}{{"incremental", m.mA}, {"batched", m.mC}} {
+	}{{"production", m.mA}, {"lazy", m.mC}} {
 		if mon.m.totalTop != totalTop {
 			t.Fatalf("step %d (%s): %s cached totalTop = %d, fresh derivation = %d", step, op, mon.name, mon.m.totalTop, totalTop)
 		}
@@ -114,157 +149,152 @@ func (m *mirror) check(t *testing.T, step int, op string) {
 			}
 		}
 	}
+}
 
-	// Batched fixed point: flush (any bounds read), record, then rebuild
-	// everything from live state — nothing may move. A lost or mis-scoped
-	// dirty mark would leave some namespace's flushed bounds behind the
-	// live hierarchy, and the rebuild would expose it. FullRecompute here
-	// does not perturb the schedule: the cache it rebuilds was just
-	// checked against the same fresh derivation, and re-clamping E_CPU
-	// into unchanged bounds is a no-op.
-	type span struct{ lower, upper, e int }
-	flushed := make(map[*cgroups.Cgroup]span, len(m.mC.order))
-	for _, ns := range m.mC.order {
-		l, u := ns.CPUBounds() // flush boundary: deferred marks apply here
-		e := ns.EffectiveCPU()
-		if e < l || e > u {
-			t.Fatalf("step %d (%s): %s batched E_CPU %d outside bounds [%d,%d]", step, op, ns.cg.Name, e, l, u)
-		}
-		flushed[ns.cg] = span{l, u, e}
+// runMirror drives a randomized schedule of every hierarchy mutation
+// the monitor reacts to — creations (flat, pods, late pod members),
+// removals, attach/detach, and all four limit setters — through a
+// mirror, checking it after every step. The schedule is a pure function
+// of seed.
+func runMirror(t testing.TB, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	m := newMirror(t, 32)
+
+	var flats, pods, kids []*cgroups.Cgroup
+	nameSeq := 0
+	newName := func(prefix string) string {
+		nameSeq++
+		return fmt.Sprintf("%s%d", prefix, nameSeq)
 	}
-	m.mC.FullRecompute()
-	for _, ns := range m.mC.order {
-		l, u := ns.CPUBounds()
-		got := span{l, u, ns.EffectiveCPU()}
-		if got != flushed[ns.cg] {
-			t.Fatalf("step %d (%s): %s batched flush lost a mark: flushed {[%d,%d] e=%d}, full rebuild {[%d,%d] e=%d}",
-				step, op, ns.cg.Name, flushed[ns.cg].lower, flushed[ns.cg].upper, flushed[ns.cg].e, got.lower, got.upper, got.e)
+	pick := func(s []*cgroups.Cgroup) *cgroups.Cgroup { return s[rng.Intn(len(s))] }
+	drop := func(s []*cgroups.Cgroup, cg *cgroups.Cgroup) []*cgroups.Cgroup {
+		for i, x := range s {
+			if x == cg {
+				return append(s[:i], s[i+1:]...)
+			}
 		}
+		return s
+	}
+	anyCg := func() *cgroups.Cgroup {
+		all := make([]*cgroups.Cgroup, 0, len(flats)+len(pods)+len(kids))
+		all = append(all, flats...)
+		all = append(all, pods...)
+		all = append(all, kids...)
+		if len(all) == 0 {
+			return nil
+		}
+		return pick(all)
+	}
+
+	for step := 0; step < steps; step++ {
+		op := ""
+		var target *cgroups.Cgroup
+		switch r := rng.Intn(20); {
+		case r < 4: // flat container, usually attached
+			cg := m.hier.Create(newName("c"))
+			flats = append(flats, cg)
+			if rng.Intn(10) < 7 {
+				m.attach(cg)
+			}
+			op, target = "create-flat", cg
+		case r < 6: // pod with 1-3 members
+			pod := m.hier.Create(newName("pod"))
+			pods = append(pods, pod)
+			for i := rng.Intn(3) + 1; i > 0; i-- {
+				kid := m.hier.CreateChild(pod, newName("k"))
+				kids = append(kids, kid)
+				if rng.Intn(10) < 7 {
+					m.attach(kid)
+				}
+			}
+			op, target = "create-pod", pod
+		case r < 8 && len(pods) > 0: // late pod member (sibling dilution)
+			kid := m.hier.CreateChild(pick(pods), newName("k"))
+			kids = append(kids, kid)
+			if rng.Intn(2) == 0 {
+				m.attach(kid)
+			}
+			op, target = "create-late-member", kid
+		case r < 11: // shares
+			if cg := anyCg(); cg != nil {
+				cg.SetShares(int64(2 + rng.Intn(4096)))
+				op, target = "set-shares", cg
+			}
+		case r < 13: // quota
+			if cg := anyCg(); cg != nil {
+				if rng.Intn(4) == 0 {
+					cg.SetQuota(-1, 100_000)
+				} else {
+					cg.SetQuota(int64(50_000+rng.Intn(800_000)), 100_000)
+				}
+				op, target = "set-quota", cg
+			}
+		case r < 14: // cpuset
+			if cg := anyCg(); cg != nil {
+				cg.SetCpuset(rng.Intn(m.sched.NCPU() + 1))
+				op, target = "set-cpuset", cg
+			}
+		case r < 15: // memory limits (must not move CPU bounds)
+			if cg := anyCg(); cg != nil {
+				hard := units.Bytes(1+rng.Intn(8)) * units.GiB
+				cg.SetMemLimits(hard, hard/2)
+				op, target = "set-mem", cg
+			}
+		case r < 16 && len(flats)+len(kids) > 0: // detach without removal
+			all := append(append([]*cgroups.Cgroup(nil), flats...), kids...)
+			target = pick(all)
+			m.detach(target)
+			op = "detach"
+		case r < 17: // re-attach anything currently detached
+			if cg := anyCg(); cg != nil && m.mA.Lookup(cg) == nil {
+				m.attach(cg)
+				op, target = "attach", cg
+			}
+		case r < 19 && len(flats)+len(kids) > 0: // remove a leaf
+			all := append(append([]*cgroups.Cgroup(nil), flats...), kids...)
+			target = pick(all)
+			m.hier.Remove(target)
+			flats, kids = drop(flats, target), drop(kids, target)
+			op = "remove-leaf"
+		case len(pods) > 0: // remove a whole pod
+			target = pick(pods)
+			for _, k := range append([]*cgroups.Cgroup(nil), target.Children()...) {
+				kids = drop(kids, k)
+			}
+			m.hier.Remove(target)
+			pods = drop(pods, target)
+			op = "remove-pod"
+		}
+		if op == "" {
+			continue
+		}
+		m.record(step, op, target)
+		m.check(t, step, op)
 	}
 }
 
-// TestIncrementalMatchesFullRecompute drives a randomized schedule of
-// every hierarchy mutation the monitor reacts to — creations (flat,
-// pods, late pod members), removals, attach/detach, and all four limit
-// setters — asserting after every single step that the incremental
-// bounds equal the full-recompute reference and that the share cache
-// matches a fresh walk.
+// TestIncrementalMatchesFullRecompute runs the mirror schedule for four
+// seeds, asserting after every single step that the production bounds
+// equal the full-walk reference and that the share cache matches a
+// fresh walk.
 func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			m := newMirror(32)
-
-			var flats, pods, kids []*cgroups.Cgroup
-			nameSeq := 0
-			newName := func(prefix string) string {
-				nameSeq++
-				return fmt.Sprintf("%s%d", prefix, nameSeq)
-			}
-			pick := func(s []*cgroups.Cgroup) *cgroups.Cgroup { return s[rng.Intn(len(s))] }
-			drop := func(s []*cgroups.Cgroup, cg *cgroups.Cgroup) []*cgroups.Cgroup {
-				for i, x := range s {
-					if x == cg {
-						return append(s[:i], s[i+1:]...)
-					}
-				}
-				return s
-			}
-			anyCg := func() *cgroups.Cgroup {
-				all := make([]*cgroups.Cgroup, 0, len(flats)+len(pods)+len(kids))
-				all = append(all, flats...)
-				all = append(all, pods...)
-				all = append(all, kids...)
-				if len(all) == 0 {
-					return nil
-				}
-				return pick(all)
-			}
-
-			for step := 0; step < 1500; step++ {
-				op := ""
-				switch r := rng.Intn(20); {
-				case r < 4: // flat container, usually attached
-					cg := m.hier.Create(newName("c"))
-					flats = append(flats, cg)
-					if rng.Intn(10) < 7 {
-						m.attach(cg)
-					}
-					op = "create-flat"
-				case r < 6: // pod with 1-3 members
-					pod := m.hier.Create(newName("pod"))
-					pods = append(pods, pod)
-					for i := rng.Intn(3) + 1; i > 0; i-- {
-						kid := m.hier.CreateChild(pod, newName("k"))
-						kids = append(kids, kid)
-						if rng.Intn(10) < 7 {
-							m.attach(kid)
-						}
-					}
-					op = "create-pod"
-				case r < 8 && len(pods) > 0: // late pod member (sibling dilution)
-					kid := m.hier.CreateChild(pick(pods), newName("k"))
-					kids = append(kids, kid)
-					if rng.Intn(2) == 0 {
-						m.attach(kid)
-					}
-					op = "create-late-member"
-				case r < 11: // shares
-					if cg := anyCg(); cg != nil {
-						cg.SetShares(int64(2 + rng.Intn(4096)))
-						op = "set-shares"
-					}
-				case r < 13: // quota
-					if cg := anyCg(); cg != nil {
-						if rng.Intn(4) == 0 {
-							cg.SetQuota(-1, 100_000)
-						} else {
-							cg.SetQuota(int64(50_000+rng.Intn(800_000)), 100_000)
-						}
-						op = "set-quota"
-					}
-				case r < 14: // cpuset
-					if cg := anyCg(); cg != nil {
-						cg.SetCpuset(rng.Intn(m.sched.NCPU() + 1))
-						op = "set-cpuset"
-					}
-				case r < 15: // memory limits (must not move CPU bounds)
-					if cg := anyCg(); cg != nil {
-						hard := units.Bytes(1+rng.Intn(8)) * units.GiB
-						cg.SetMemLimits(hard, hard/2)
-						op = "set-mem"
-					}
-				case r < 16 && len(flats)+len(kids) > 0: // detach without removal
-					all := append(append([]*cgroups.Cgroup(nil), flats...), kids...)
-					m.detach(pick(all))
-					op = "detach"
-				case r < 17: // re-attach anything currently detached
-					if cg := anyCg(); cg != nil && m.mA.Lookup(cg) == nil {
-						m.attach(cg)
-						op = "attach"
-					}
-				case r < 19 && len(flats)+len(kids) > 0: // remove a leaf
-					all := append(append([]*cgroups.Cgroup(nil), flats...), kids...)
-					cg := pick(all)
-					m.hier.Remove(cg)
-					flats, kids = drop(flats, cg), drop(kids, cg)
-					op = "remove-leaf"
-				case len(pods) > 0: // remove a whole pod
-					pod := pick(pods)
-					for _, k := range append([]*cgroups.Cgroup(nil), pod.Children()...) {
-						kids = drop(kids, k)
-					}
-					m.hier.Remove(pod)
-					pods = drop(pods, pod)
-					op = "remove-pod"
-				}
-				if op == "" {
-					continue
-				}
-				m.check(t, step, op)
-			}
+			runMirror(t, seed, 1500)
 		})
 	}
+}
+
+// FuzzMonitorMirror explores mirror schedules beyond the four fixed
+// seeds; its seed corpus is those seeds. The schedule is shorter than
+// the test's so each fuzz input runs quickly.
+func FuzzMonitorMirror(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		runMirror(t, seed, 400)
+	})
 }
 
 // TestOrderSpacesConsistency is the regression guard for the monitor's
@@ -272,7 +302,7 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 // deterministic iteration order) must stay in lockstep across attach,
 // detach, removal, and kill/restart-style re-attachment.
 func TestOrderSpacesConsistency(t *testing.T) {
-	m := newMirror(16)
+	m := newMirror(t, 16)
 	verify := func(when string) {
 		t.Helper()
 		if len(m.mA.order) != len(m.mA.spaces) {

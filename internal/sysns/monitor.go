@@ -34,6 +34,7 @@ type Monitor struct {
 	// arrays. A slot is index-stable for the namespace's lifetime and
 	// recycled through freeSlots after Detach freezes it.
 	nsCPU     []cpuSlot
+	nsShare   []shareSlot
 	nsMem     []memSlot
 	nsMeta    []metaSlot
 	freeSlots []int
@@ -59,15 +60,19 @@ type Monitor struct {
 	// when the full-walk implementation would have absorbed the change.
 	pendingTops []*cgroups.Cgroup
 
-	// Batched-recompute state (Options.BatchedRecompute; DESIGN.md §14).
-	// boundsDirtyAll coalesces "every fraction changed" triggers,
-	// dirtyTops the per-subtree ones; flushBounds applies both in one
-	// pass at the next read boundary. inFlush suppresses re-entry (and
+	// sumMoved records a Σw_j move (a top-level entity attached,
+	// detached, or reweighted) whose lower-bound pass over the other
+	// namespaces has not run yet; flushBounds runs it at the next read
+	// boundary (DESIGN.md §14). inFlush suppresses re-entry (and
 	// immediate snapshot publication) while a flush is delivering queued
-	// events. All idle on the default eager path.
-	boundsDirtyAll bool
-	inFlush        bool
-	dirtyTops      []*cgroups.Cgroup
+	// events.
+	sumMoved bool
+	inFlush  bool
+
+	// fullWalk pins the monitor to the historical full walk: every
+	// delivered trigger rebuilds the cache and every bound from live
+	// state. Only tests set it (UseFullWalk), as the reference arm.
+	fullWalk bool
 
 	// FixedPeriod, when non-zero, pins the update period instead of
 	// tracking the scheduling period (used by the update-period
@@ -166,10 +171,11 @@ func (m *Monitor) allocSlot() int {
 	if n := len(m.freeSlots); n > 0 {
 		s := m.freeSlots[n-1]
 		m.freeSlots = m.freeSlots[:n-1]
-		m.nsCPU[s], m.nsMem[s], m.nsMeta[s] = cpuSlot{}, memSlot{}, metaSlot{}
+		m.nsCPU[s], m.nsShare[s], m.nsMem[s], m.nsMeta[s] = cpuSlot{}, shareSlot{}, memSlot{}, metaSlot{}
 		return s
 	}
 	m.nsCPU = append(m.nsCPU, cpuSlot{})
+	m.nsShare = append(m.nsShare, shareSlot{})
 	m.nsMem = append(m.nsMem, memSlot{})
 	m.nsMeta = append(m.nsMeta, metaSlot{})
 	return len(m.nsCPU) - 1
@@ -190,7 +196,7 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 		m.publishTopo(m.clock.Now())
 		return ns
 	}
-	// Cache updates must complete before any bounds recompute: a flush
+	// Cache updates must complete before any bounds recompute: a pass
 	// interleaved with a half-applied Σw_j would clamp E_CPU through an
 	// intermediate bounds state the atomic full walk never produces.
 	top := topOf(cg)
@@ -199,31 +205,19 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 	if !tracked {
 		// A new top-level entity enters Σw_j: every fraction changes.
 		e.shares = top.CPU.Shares
-		m.tops[top] = e
 		m.totalTop += e.shares
-		if m.batched() {
-			// The new namespace needs live bounds immediately (E_CPU
-			// initializes from them); every other view coalesces into
-			// the next flush. This is what turns a fleet build from
-			// O(n²) into O(n): the eager path below recomputes all n
-			// bounds on every attach.
-			m.recomputeOne(ns)
-			m.markAllDirty()
-		} else {
-			m.pendingTops = m.pendingTops[:0] // subsumed by the full pass
-			m.recomputeBoundsAll()
-		}
+	}
+	m.tops[top] = e
+	m.flushPending()
+	if tracked {
+		m.recomputeTop(top)
 	} else {
-		// The denominator is unchanged (sibling sums count all children,
-		// attached or not); only the subtree needs bounds.
-		m.tops[top] = e
-		if m.batched() {
-			m.recomputeOne(ns)
-			m.markBoundsDirty(top)
-		} else {
-			m.flushPending()
-			m.recomputeTop(top)
-		}
+		// The new entity's subtree holds just this namespace, which needs
+		// live bounds at once (E_CPU initializes from them); every other
+		// view waits for the deferred pass. Attach therefore stays O(1)
+		// per container, and a fleet build O(n).
+		m.recomputeOne(ns)
+		m.moveSum(e.refs)
 	}
 	ns.ResetMemory()
 	// Publish at the post-recompute point: the new namespace (and any
@@ -264,23 +258,17 @@ func (m *Monitor) Detach(cg *cgroups.Cgroup) {
 		// Last namespace under this entity: its shares leave Σw_j.
 		delete(m.tops, top)
 		m.totalTop -= e.shares
-		if m.batched() {
-			m.markAllDirty()
-		} else {
-			m.pendingTops = m.pendingTops[:0] // subsumed by the full pass
-			m.recomputeBoundsAll()
-		}
 	} else {
-		// Detach via cgroup removal shrank the sibling sum (the group is
-		// already gone from the hierarchy); recompute the subtree. For a
-		// plain detach this is a no-op recompute.
 		m.tops[top] = e
-		if m.batched() {
-			m.markBoundsDirty(top)
-		} else {
-			m.flushPending()
-			m.recomputeTop(top)
-		}
+	}
+	m.flushPending()
+	if e.refs > 0 {
+		// Detach via cgroup removal shrank the sibling sum (the group is
+		// already gone from the hierarchy), so the subtree recomputes; for
+		// a plain detach that is a no-op recompute.
+		m.recomputeTop(top)
+	} else {
+		m.moveSum(0)
 	}
 	// As in Attach: publish once the cache and bounds are consistent.
 	m.publishTopo(m.clock.Now())
@@ -340,87 +328,46 @@ func (m *Monitor) onEvent(e cgroups.Event) {
 		if m.syncSuppressed() {
 			return
 		}
-		if !m.batched() {
-			m.flushPending()
-		}
+		m.flushPending()
 	}
 }
 
-// batched reports whether deferred bounds recomputation is enabled.
-func (m *Monitor) batched() bool { return m.opts.BatchedRecompute }
-
-// markAllDirty records that every namespace's bounds must be recomputed
-// at the next flush (a Σw_j change reaches every container), subsuming
-// any finer marks.
-func (m *Monitor) markAllDirty() {
-	m.boundsDirtyAll = true
-	m.dirtyTops = m.dirtyTops[:0]
-	m.pendingTops = m.pendingTops[:0]
+// moveSum records a delivered Σw_j move: it arms the deferred pass
+// unless the moved entity's subtree, which holds refs namespaces and was
+// recomputed at event time, holds every attached namespace.
+func (m *Monitor) moveSum(refs int) {
+	if len(m.order) > refs {
+		m.sumMoved = true
+	}
 }
 
-// markBoundsDirty queues one top-level subtree for recomputation at the
-// next flush. Once the dirty list covers more than half the fleet the
-// per-subtree bookkeeping (map lookups per entry, duplicate marks)
-// costs more than the one dense full pass it avoids, so the marks
-// escalate to boundsDirtyAll — the flush stays O(min(events, n)).
-func (m *Monitor) markBoundsDirty(top *cgroups.Cgroup) {
-	if m.boundsDirtyAll {
-		return
-	}
-	if len(m.dirtyTops) >= 64 && len(m.dirtyTops) >= len(m.order)/2 {
-		m.markAllDirty()
-		return
-	}
-	m.dirtyTops = append(m.dirtyTops, top)
-}
-
-// flushBounds is the read boundary for every deferred-work mode
-// (DESIGN.md §14): it drains any sharded cgroup event queues —
-// delivering the cache deltas and dirty marks their events carry — then
-// applies every deferred bounds-recompute mark in one pass. A whole
-// churn interval's worth of events thus costs one recompute pass
-// instead of one per event. It runs whenever there is deferred work,
-// whatever produced it: queued events exist even with eager recompute
-// when sharded dispatch is on (each drained event then recomputes
-// synchronously, just time-shifted to the boundary), and dirty marks
-// exist only in batched mode. With neither — the default configuration —
-// it is three loads and a return; re-entry while a flush is running is
-// likewise a no-op.
+// flushBounds is the read boundary (DESIGN.md §14): the update round,
+// snapshot publication, the staleness scan, and every bounds read run
+// it. It drains any sharded cgroup event queues — each delivered event
+// does its subtree work as it lands — then, if Σw_j moved, runs one
+// lower-bound pass over every namespace. With neither — the common case
+// — it is three loads and a return; re-entry while a flush is
+// delivering events is likewise a no-op.
 func (m *Monitor) flushBounds() {
-	if m.inFlush {
-		return
-	}
-	if m.hier.Queued() == 0 && !m.boundsDirtyAll && len(m.dirtyTops) == 0 &&
-		(len(m.pendingTops) == 0 || !m.batched()) {
+	if m.inFlush || (m.hier.Queued() == 0 && !m.sumMoved) {
 		return
 	}
 	m.inFlush = true
 	m.hier.Drain()
-	if m.boundsDirtyAll {
-		m.boundsDirtyAll = false
-		m.pendingTops = m.pendingTops[:0]
-		m.recomputeBoundsAll()
-	} else {
-		// Pending sibling dilutions flush here only in batched mode: its
-		// contract is "live state at every flush boundary". The eager
-		// contract instead preserves them until the next recompute
-		// trigger (the historical walk's behavior), which drained events
-		// honor on their own via onCPUChanged/onEvent.
-		if m.batched() {
-			m.flushPending()
-		}
-		for _, top := range m.dirtyTops {
-			// Dirty marks may outlive their subtree (detach, removal):
-			// recompute only what is still tracked. Duplicate marks
-			// recompute twice — idempotent, and bounded by the escalation
-			// threshold in markBoundsDirty.
-			if _, tracked := m.tops[top]; tracked {
-				m.recomputeTop(top)
-			}
-		}
-	}
-	m.dirtyTops = m.dirtyTops[:0]
 	m.inFlush = false
+	if !m.sumMoved {
+		return
+	}
+	m.sumMoved = false
+	// The pass reads no live hierarchy state: Σw_j is the cached
+	// totalTop, the share inputs and the upper bound are what the last
+	// delivered event left in each slot. A dropped event therefore stays
+	// visible until the next delivered trigger runs syncSuppressed.
+	p := m.hier.Scheduler().NCPU()
+	for _, ns := range m.order {
+		c := &m.nsCPU[ns.slot]
+		c.setBounds(c.upperCPU, m.nsShare[ns.slot].frac(m.totalTop), p)
+	}
 }
 
 // onCPUChanged applies one delivered cpu-limit event to the cache and
@@ -433,44 +380,28 @@ func (m *Monitor) onCPUChanged(cg *cgroups.Cgroup) {
 		// No attached namespace anywhere under this entity: its shares
 		// are outside Σw_j and nobody reads its quota/cpuset — but the
 		// full walk still ran on this trigger, so it is where any pending
-		// dilution would have been absorbed. (Batched mode defers the
-		// pending flush to the next read boundary with everything else.)
-		if !m.batched() {
-			m.flushPending()
-		}
+		// dilution is absorbed.
+		m.flushPending()
 		return
 	}
-	if cg == top {
-		if s := cg.CPU.Shares; s != e.shares {
-			// Top-level shares moved: the Σw_j denominator changes, so
-			// every namespace's fraction does too. The delta lands before
-			// any recompute so the full pass sees the final Σw_j (the
-			// E_CPU clamp is stateful: an intermediate bounds state would
-			// be observable).
-			m.totalTop += s - e.shares
-			e.shares = s
-			m.tops[top] = e
-			if m.batched() {
-				m.markAllDirty()
-			} else {
-				m.pendingTops = m.pendingTops[:0] // subsumed by the full pass
-				m.recomputeBoundsAll()
-			}
-			return
-		}
-		// Quota/period/cpuset change on the entity: fractions are
-		// untouched, but the subtree's upper bounds read these limits.
-		// (Fall through: handled like the nested case.)
+	moved := cg == top && cg.CPU.Shares != e.shares
+	if moved {
+		// Top-level shares moved: the Σw_j denominator changes, so every
+		// namespace's fraction does too. The delta lands before any
+		// recompute so every bound reads the final Σw_j.
+		m.totalTop += cg.CPU.Shares - e.shares
+		e.shares = cg.CPU.Shares
+		m.tops[top] = e
 	}
-	// Subtree-local change: the entity's limits cap its members, a
-	// nested cgroup's shares enter the sibling sum and its limits cap
-	// its own namespace.
-	if m.batched() {
-		m.markBoundsDirty(top)
-		return
-	}
+	// The subtree recomputes now: the entity's quota, period, or cpuset
+	// caps its members, a nested cgroup's shares enter the sibling sum
+	// and its limits cap its own namespace, and a shares move changes
+	// the subtree's own inputs.
 	m.flushPending()
 	m.recomputeTop(top)
+	if moved {
+		m.moveSum(e.refs)
+	}
 }
 
 // flushPending recomputes subtrees dirtied without a recompute trigger
@@ -495,11 +426,7 @@ func (m *Monitor) flushPending() {
 // which is what keeps fault-injection runs byte-identical. Returns true
 // when it recomputed (callers skip their incremental step).
 func (m *Monitor) syncSuppressed() bool {
-	if m.opts.DisableIncremental {
-		m.FullRecompute()
-		return true
-	}
-	if m.hier.Suppressed() == m.seenSuppressed {
+	if !m.fullWalk && m.hier.Suppressed() == m.seenSuppressed {
 		return false
 	}
 	m.FullRecompute()
@@ -509,8 +436,7 @@ func (m *Monitor) syncSuppressed() bool {
 // FullRecompute rebuilds the share-aggregate cache from live hierarchy
 // state and recalculates every namespace's bounds, regardless of what
 // the incremental bookkeeping believes. It is the recovery path for
-// suppressed events (resync, syncSuppressed) and the reference the
-// differential tests compare the incremental path against.
+// suppressed events (resync, syncSuppressed).
 func (m *Monitor) FullRecompute() {
 	clear(m.tops)
 	m.totalTop = 0
@@ -525,8 +451,7 @@ func (m *Monitor) FullRecompute() {
 		m.tops[top] = e
 	}
 	m.pendingTops = m.pendingTops[:0]
-	m.dirtyTops = m.dirtyTops[:0]
-	m.boundsDirtyAll = false
+	m.sumMoved = false
 	m.seenSuppressed = m.hier.Suppressed()
 	m.recomputeBoundsAll()
 }
@@ -553,30 +478,19 @@ func (m *Monitor) recomputeTop(top *cgroups.Cgroup) {
 	}
 }
 
-// recomputeOne recalculates one namespace's guaranteed share fraction
-// and bounds. For a flat container the fraction is w_i/Σw_j over the
-// top-level entities; for a container inside a pod it is the pod's
-// fraction times the container's fraction among its siblings (all
-// siblings count, attached or not — they compete for the pod's grant
-// either way). Σw_j comes from the cached totalTop, the sibling sum from
-// the scheduler's ChildShares aggregate; both are int64 sums, so they
-// equal a fresh walk exactly and the float expression below is
-// bit-identical to the historical full-recompute path.
+// recomputeOne recalculates one namespace's bounds from live hierarchy
+// state and caches the share inputs it read in the slot, where the
+// deferred Σw_j pass finds them (see shareSlot). The sibling sum
+// is the scheduler's ChildShares aggregate: all siblings count, attached
+// or not — they compete for the pod's grant either way.
 func (m *Monitor) recomputeOne(ns *SysNamespace) {
 	g := ns.cg.CPU
-	frac := 0.0
-	if m.totalTop > 0 {
-		if p := g.Parent(); p != nil {
-			siblings := p.ChildShares()
-			if siblings > 0 {
-				frac = float64(p.Shares) / float64(m.totalTop) *
-					float64(g.Shares) / float64(siblings)
-			}
-		} else {
-			frac = float64(g.Shares) / float64(m.totalTop)
-		}
+	in := shareSlot{top: g.Shares, own: g.Shares}
+	if p := g.Parent(); p != nil {
+		in.top, in.siblings = p.Shares, p.ChildShares()
 	}
-	ns.RecomputeBounds(frac)
+	m.nsShare[ns.slot] = in
+	ns.RecomputeBounds(in.frac(m.totalTop))
 }
 
 // Period returns the namespace update interval currently in effect.
@@ -657,8 +571,8 @@ func (m *Monitor) Tick(now sim.Time, dt time.Duration) {
 	if b <= 0 {
 		return
 	}
-	// The fallback reads LOWER_CPU, so the staleness scan is a batched-
-	// mode flush boundary (no-op on the eager path).
+	// The fallback reads LOWER_CPU, so the staleness scan is a read
+	// boundary.
 	m.flushBounds()
 	for _, ns := range m.order {
 		mt := &m.nsMeta[ns.slot]
@@ -713,7 +627,7 @@ func (m *Monitor) AttachTelemetry(tr *telemetry.Tracer) { m.Trace = tr }
 // the timer.
 func (m *Monitor) UpdateAll(now sim.Time) {
 	// The round reads every namespace's bounds, so it is the canonical
-	// batched-mode flush boundary: deferred event work coalesces here.
+	// read boundary: deferred event work coalesces here.
 	m.flushBounds()
 	window := time.Duration(now - m.lastUpdate)
 	if window <= 0 {

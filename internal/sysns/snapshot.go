@@ -78,8 +78,8 @@ type CgroupView struct {
 
 	// Shares, QuotaUS, PeriodUS, and CpusetN are the cpu controller's
 	// administrator-set knobs.
-	Shares  int64
-	QuotaUS int64
+	Shares   int64
+	QuotaUS  int64
 	PeriodUS int64
 	CpusetN  int
 	// ThrottledNS and UsageNS are cumulative throttled time and CPU
@@ -186,8 +186,8 @@ func (m *Monitor) WarmSnapshot() {
 
 // publishTopo is the gated publication for topology triggers (attach,
 // detach): immediate when the monitor has consumers, recorded as
-// pending dirtiness otherwise. While a batched-mode flush is delivering
-// queued events the publication is deferred too — the read boundary
+// pending dirtiness otherwise. While a flush is delivering queued
+// events the publication is deferred too — the read boundary
 // that triggered the flush cuts one consistent snapshot for the whole
 // batch right after.
 func (m *Monitor) publishTopo(now sim.Time) {
@@ -266,9 +266,9 @@ func (m *Monitor) Republish() {
 // simulation state strictly through non-mutating accessors, so
 // publication never perturbs the simulation.
 func (m *Monitor) Publish(now sim.Time) *ViewSnapshot {
-	// A snapshot is a read of every bounds value: flush any batched-mode
-	// deferred recomputes first (no-op on the eager path) so the cut
-	// never exposes pre-coalesce bounds.
+	// A snapshot is a read of every bounds value: run any deferred
+	// event delivery and Σw_j pass first so the cut never exposes
+	// pre-pass bounds.
 	m.flushBounds()
 	prev := m.snap.Load()
 	sched := m.hier.Scheduler()

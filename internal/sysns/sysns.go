@@ -77,25 +77,10 @@ type Options struct {
 	// ResyncMax caps the resync backoff (0 selects 32x ResyncMin).
 	ResyncMax time.Duration
 
-	// DisableIncremental forces ns_monitor onto the historical
-	// full-recompute-per-event path instead of the incremental
-	// dirty-subtree one. The two are observationally identical — the
-	// differential tests assert it — so this is a verification and
-	// benchmarking knob, not a behavior switch.
-	DisableIncremental bool
-
-	// BatchedRecompute defers bounds recomputation to read boundaries:
-	// cgroup events still update the share-aggregate cache eagerly (the
-	// Σw_j deltas are exact), but the O(n) bounds passes they would
-	// trigger coalesce into one pass at the next update round, snapshot
-	// cut, staleness scan, or bounds read (DESIGN.md §14). Bounds agree
-	// with the eager path at every flush boundary — the batched
-	// differential test asserts it — but because the E_CPU clamp is
-	// stateful, deferral is observable: a view clamped through an
-	// intermediate bounds state under eager recompute may settle one
-	// step away under batching. It is therefore an opt-in scale lever
-	// (the scalebench fleet runs it), never a default: every golden
-	// experiment stays on the eager path.
+	// Deprecated: BatchedRecompute is ignored. ns_monitor has one
+	// recompute protocol (subtree work at event time, one deferred Σw_j
+	// pass at the next read boundary; DESIGN.md §14); the field remains
+	// so existing configurations compile.
 	BatchedRecompute bool
 }
 
@@ -142,6 +127,49 @@ type cpuSlot struct {
 	eCPU     int
 	lowerCPU int
 	upperCPU int
+}
+
+// shareSlot is the share-input field group: what the last event-time
+// recompute read for the namespace's guaranteed fraction — the
+// top-level entity's shares, the namespace's own, and its sibling sum
+// (0 for a flat container). The deferred Σw_j pass rebuilds lower
+// bounds from it without reading the hierarchy. It is split from
+// cpuSlot because only recomputes read it, while every update round and
+// snapshot cut walks cpuSlot.
+type shareSlot struct {
+	top, own, siblings int64
+}
+
+// frac is the guaranteed share fraction for Σw_j = total: w_i/Σw_j for
+// a flat container, the pod's fraction times the container's fraction
+// among its siblings for a nested one. Every input is an int64 sum,
+// equal to a fresh walk's, so the float expression is bit-identical to
+// the historical full-recompute path.
+func (s *shareSlot) frac(total int64) float64 {
+	switch {
+	case total <= 0:
+		return 0
+	case s.siblings == 0:
+		return float64(s.own) / float64(total)
+	}
+	return float64(s.top) / float64(total) * float64(s.own) / float64(s.siblings)
+}
+
+// setBounds sets [LOWER_CPU, UPPER_CPU] from the upper bound and the
+// guaranteed share fraction (Algorithm 1, lines 4-5) and clamps E_CPU
+// into the new range. p is the host CPU count.
+func (c *cpuSlot) setBounds(upper int, shareFrac float64, p int) {
+	shareCPUs := p
+	if shareFrac > 0 {
+		shareCPUs = max(1, int(math.Ceil(shareFrac*float64(p))))
+	}
+	lower := min(upper, shareCPUs)
+	c.lowerCPU, c.upperCPU = lower, upper
+	if c.eCPU == 0 {
+		// Initialisation: E_CPU_i = LOWER_CPU_i (Algorithm 1, line 6).
+		c.eCPU = lower
+	}
+	c.eCPU = units.ClampInt(c.eCPU, lower, upper)
 }
 
 // memSlot is the Algorithm 2 field group: the effective memory and the
@@ -222,10 +250,9 @@ func (ns *SysNamespace) slotMeta() *metaSlot {
 func (ns *SysNamespace) Cgroup() *cgroups.Cgroup { return ns.cg }
 
 // EffectiveCPU returns E_CPU: the number of dedicated-CPU equivalents
-// currently available to the container. Under batched recompute the
-// read is a flush boundary: any deferred bounds marks are applied
-// first, so callers never observe pre-coalesce values (on the default
-// eager path the flush is a no-op).
+// currently available to the container. The read is a read boundary:
+// queued events and a pending Σw_j pass are applied first, so callers
+// never observe pre-pass values.
 func (ns *SysNamespace) EffectiveCPU() int {
 	ns.mon.flushBounds()
 	return ns.slotCPU().eCPU
@@ -235,7 +262,7 @@ func (ns *SysNamespace) EffectiveCPU() int {
 func (ns *SysNamespace) EffectiveMemory() units.Bytes { return ns.slotMem().eMem }
 
 // CPUBounds returns the current [LOWER_CPU, UPPER_CPU] range. Like
-// EffectiveCPU, the read is a batched-mode flush boundary.
+// EffectiveCPU, the read is a read boundary.
 func (ns *SysNamespace) CPUBounds() (lower, upper int) {
 	ns.mon.flushBounds()
 	c := ns.slotCPU()
@@ -320,23 +347,7 @@ func (ns *SysNamespace) RecomputeBounds(shareFrac float64) {
 		}
 	}
 
-	shareCPUs := p
-	if shareFrac > 0 {
-		shareCPUs = int(math.Ceil(shareFrac * float64(p)))
-		if shareCPUs < 1 {
-			shareCPUs = 1
-		}
-	}
-
-	lower := min(upper, shareCPUs)
-
-	c := ns.slotCPU()
-	c.lowerCPU, c.upperCPU = lower, upper
-	if c.eCPU == 0 {
-		// Initialisation: E_CPU_i = LOWER_CPU_i (Algorithm 1, line 6).
-		c.eCPU = lower
-	}
-	c.eCPU = units.ClampInt(c.eCPU, lower, upper)
+	ns.slotCPU().setBounds(upper, shareFrac, p)
 }
 
 // ResetMemory initialises (or re-initialises) effective memory to the
@@ -437,11 +448,4 @@ func (ns *SysNamespace) updateMem(mem *memctl.Controller, cfree, cmem units.Byte
 		// back to the guaranteed soft limit.
 		ns.ResetMemory()
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

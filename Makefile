@@ -14,11 +14,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short native-fuzzing run of the ns_monitor mirror (production protocol
-# vs the full-walk reference over randomized hierarchy schedules; its
-# seed corpus also runs in `make test`). Part of `make ci`.
+# Short native-fuzzing runs, one target per invocation (go test -fuzz
+# takes one): the ns_monitor mirror (production protocol vs the
+# full-walk reference over randomized hierarchy schedules), the cfs
+# repair mirror (production tick dispatch vs rebuilding every tick,
+# including runs across the fill's under-subscription boundary), and the
+# water fill's under-subscribed shortcut vs the iterative loop. Their
+# seed corpora also run in `make test`. Part of `make ci`.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMonitorMirror -fuzztime 10s ./internal/sysns/
+	$(GO) test -run xxx -fuzz FuzzRepairMirror -fuzztime 10s ./internal/cfs/
+	$(GO) test -run xxx -fuzz FuzzWaterfill -fuzztime 10s ./internal/cfs/
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x .

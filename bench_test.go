@@ -277,6 +277,51 @@ func BenchmarkScaleSteadyUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleSteadyRepair is one binding-churn scheduler round at
+// scale: every container is busy and quota'd below its fair share, so
+// each quota write moves a cap and the tick repairs the allocation — the
+// regime of the perfbench throttle workload. Each op writes four quotas
+// and ticks once. Must be 0 allocs/op.
+func BenchmarkScaleSteadyRepair(b *testing.B) {
+	for _, n := range []int{1024, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cfg := scalebench.Defaults(n)
+			cfg.Churn = false
+			cfg.RunnableEvery = 1
+			sb := scalebench.Build(cfg)
+			s := sb.H.Sched
+			gs := s.Groups()
+			// Quotas alternate between a quarter and a half of the fair
+			// share, cfg.CPUs/n CPUs.
+			lo := int64(100_000 * cfg.CPUs / n / 4)
+			for i, g := range gs {
+				s.SetQuota(g, lo<<(i%2), 100_000)
+			}
+			sb.H.Run(cfg.Warmup)
+			now := sb.H.Now()
+			k := 0
+			op := func() {
+				for w := 0; w < 4; w++ {
+					g := gs[k%len(gs)]
+					k += 97 // coprime with n: successive writes spread over the fleet
+					q := lo
+					if g.QuotaUS == lo {
+						q = 2 * lo
+					}
+					s.SetQuota(g, q, 100_000)
+				}
+				s.Tick(now, time.Millisecond)
+			}
+			op() // the warm-up ran no repair tick: size its buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
 // --- cluster: lockstep stepping and no-move rebalance (DESIGN.md §12) ---
 
 // clusterSteady builds the steady-state cluster: four 16-CPU nodes with

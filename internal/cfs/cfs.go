@@ -34,7 +34,8 @@
 // SetRunnable, task/group lifecycle) marks the touched group in a dirty
 // set, and the next Tick recomputes caps, water fills, and accounting
 // only for the dirty groups, the affected parents, and the top level —
-// O(changes + tops) instead of O(groups) — escalating to one full
+// O(changes + tops) instead of O(groups), and O(changes) at the top
+// level while its fill is under-subscribed — escalating to one full
 // rebuild when the dirty set grows to a sizable fraction of the active
 // set. Accounting for quiet groups (active groups with no runnable
 // OnTick task) is deferred and settled on read, replaying the memoized
@@ -343,6 +344,7 @@ type Scheduler struct {
 	pendingTopFill bool     // top-level fill must rerun (active top membership changed)
 	pendingResum   bool     // slack/loadContrib sums must re-derive (an active group left)
 	activeTop      []int    // top-level groups with cap > 0 (acctTop)
+	topUnder       bool     // the last top fill was under-subscribed: every activeTop grant equals its cap
 	eagerIdx       []int    // active groups with runnable OnTick tasks (acctEager)
 	gSettled       []uint64 // tick through which each group's accounting is settled
 	lastDt         time.Duration
@@ -369,6 +371,9 @@ type Scheduler struct {
 	topBuf        []int
 	nrSnapIdx     []int // leaves walked this tick (ascending)
 	nrSnapVal     []int // their runnable counts at visit time
+	// onTopPhase, when set (tests only), observes which top-level path
+	// each repair tick's phase 2 took.
+	onTopPhase func(dirtyOnly bool)
 }
 
 // SubsystemName identifies the scheduler in telemetry and diagnostics;
@@ -766,8 +771,21 @@ func (s *Scheduler) SchedPeriod() time.Duration {
 // waterfill distributes capacity among the given groups by weighted
 // max-min fairness: proportional to shares, capped per group, iterating
 // until saturated groups' leftovers are redistributed (work
-// conservation). Results are written into alloc, indexed like groups.
-func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity float64) {
+// conservation). Results are written into alloc, indexed like groups;
+// participants have positive caps and start from a non-negative alloc
+// (the scheduler passes zeros). The loop overwrites active in place.
+//
+// When every participant has positive shares and the caps fit the
+// capacity with the underSubscribed margin, the loop provably saturates
+// every participant at exactly alloc = cap (DESIGN.md §15), so that
+// result is assigned directly. waterfill reports whether it was.
+func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity float64) (saturated bool) {
+	if underSubscribed(caps, active, capacity) && positiveShares(groups, active) {
+		for _, i := range active {
+			alloc[i] = caps[i]
+		}
+		return true
+	}
 	remaining := capacity
 	for len(active) > 0 && remaining > 1e-12 {
 		var totalW float64
@@ -799,6 +817,30 @@ func waterfill(groups []*Group, caps, alloc []float64, active []int, capacity fl
 		}
 		active = next
 	}
+	return false
+}
+
+// underSubscribed reports whether Σ caps over active, summed in list
+// order, stays below capacity by the margin capacity·1e-9 + 1e-9. The
+// margin is far above the rounding waterfill's loop accumulates (about
+// 7·n·2⁻⁵³ of capacity for n participants), so under it, with positive
+// shares, the loop saturates every participant.
+func underSubscribed(caps []float64, active []int, capacity float64) bool {
+	sum := 0.0
+	for _, i := range active {
+		sum += caps[i]
+	}
+	return sum <= capacity*(1-1e-9)-1e-9
+}
+
+// positiveShares reports whether every participant has positive shares.
+func positiveShares(groups []*Group, active []int) bool {
+	for _, i := range active {
+		if groups[i].Shares <= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Tick advances the scheduler by dt: allocates CPU, advances task work,
@@ -1021,7 +1063,7 @@ func (s *Scheduler) rebuildTick(now sim.Time, dt time.Duration, dtSec float64) {
 	// Snapshot the fill participants before waterfill consumes the list
 	// in place: repair ticks refill over this set.
 	s.activeTop = append(s.activeTop[:0], top...)
-	waterfill(s.groups, caps, alloc, top, float64(s.ncpu))
+	s.topUnder = waterfill(s.groups, caps, alloc, top, float64(s.ncpu))
 
 	// Second level: each parent's grant is filled among its children.
 	for i, g := range s.groups {

@@ -14,3 +14,18 @@ func (s *Scheduler) TickRebuild(now sim.Time, dt time.Duration) {
 	s.allocValid = false
 	s.Tick(now, dt)
 }
+
+// CountTopPhases makes every later repair tick of s count which path
+// its top-level phase took: n[0] counts full fills, n[1] the dirty-only
+// path of an under-subscribed fill.
+func (s *Scheduler) CountTopPhases() *[2]int {
+	n := new([2]int)
+	s.onTopPhase = func(dirtyOnly bool) {
+		if dirtyOnly {
+			n[1]++
+		} else {
+			n[0]++
+		}
+	}
+	return n
+}

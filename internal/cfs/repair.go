@@ -14,18 +14,22 @@
 //     someone looks.
 //
 //   - repairTick: a bounded dirty set. Caps are recomputed for dirty
-//     groups only, affected parents re-sum their child caps in child
-//     order (the same ordered float sum the rebuild computes), the
-//     top-level water fill reruns over the incrementally maintained
-//     activeTop list only when a top-level cap, weight, or membership
-//     moved, and only parents whose grant or limits moved refill their
+//     groups only, and affected parents re-sum their child caps in
+//     child order (the same ordered float sum the rebuild computes).
+//     The top-level grants are brought current only when a top-level
+//     cap, weight, or membership moved: while the fill stays
+//     under-subscribed every grant is its cap, so only the re-capped
+//     tops change, in O(dirty); otherwise the water fill reruns over
+//     the activeTop list and only the grants that moved are settled and
+//     rewritten. Only parents whose grant or limits moved refill their
 //     children. Accounting then advances for the union of touched,
 //     eager, and flag-dirty groups in one ascending walk — the same
 //     relative order the full rebuild uses — and the active/eager
 //     membership lists are patched by ordered merge. Because the load
 //     contribution and slack are ordered sums over the active leaves,
-//     any touched leaf triggers an O(active) ordered re-sum: repair is
-//     O(changes + tops + active), not O(groups + tasks).
+//     any touched leaf triggers one O(active) dense re-sum: repair is
+//     O(changes + active) under-subscribed and O(changes + tops +
+//     active) otherwise, not O(groups + tasks).
 //
 //   - rebuildTick (cfs.go): the first tick, the tick after SkipIdle,
 //     and escalation — when the dirty set reaches both an absolute
@@ -229,7 +233,7 @@ func (s *Scheduler) quietTick(now sim.Time, dt time.Duration, dtSec float64) {
 		s.flagsDirty = s.flagsDirty[:0]
 	}
 	if contribDirty {
-		s.recomputeLoadContrib()
+		s.recomputeLeafSums()
 	}
 }
 
@@ -289,6 +293,9 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	parents := s.repairParents[:0]
 	s.topAdds = s.topAdds[:0]
 	s.topRemoved = false
+	// unweighted: a top-level group this phase touches has no positive
+	// weight, so the fill may not saturate everyone (see phase 2).
+	unweighted := false
 	for _, i := range dirty {
 		g := s.groups[i]
 		a := &s.gAcct[i]
@@ -298,6 +305,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		s.settleTo(i, prev)
 		if g.parent == nil {
 			topFill = true
+			unweighted = unweighted || g.Shares <= 0
 		}
 		if len(g.children) > 0 {
 			if a.flags&acctRefill == 0 {
@@ -322,6 +330,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 	for _, p := range parents {
 		g := s.groups[p]
 		s.settleTo(p, prev)
+		unweighted = unweighted || g.Shares <= 0
 		old := s.gCap[p]
 		s.gCap[p] = s.capOf(g)
 		if s.gCap[p] != old {
@@ -337,24 +346,46 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		topFill = true
 	}
 
-	// Phase 2: rerun the top-level water fill when needed. The fill is
-	// global — a local cap change can move many rates — so every
-	// participant's old rate is diffed to find the changed set.
+	// Phase 2: bring the top-level grants current. While the fill is
+	// under-subscribed every participant's grant is its cap, so when the
+	// last fill was and this one still is, only a top whose cap this
+	// tick recomputed — a dirty top or a parent, all settled in phase 1
+	// — can move. Otherwise the fill reruns over every participant, and
+	// only the groups whose grant moved are settled at their old rate
+	// before the new one is written.
 	if topFill {
-		old := s.repairOld[:0]
-		for _, i := range s.activeTop {
-			s.settleTo(i, prev)
-			old = append(old, s.gRate[i])
-			s.gRate[i] = 0
-		}
-		tops := append(s.scratchTop[:0], s.activeTop...)
-		waterfill(s.groups, s.gCap, s.gRate, tops, float64(s.ncpu))
-		for k, i := range s.activeTop {
-			if s.gRate[i] != old[k] {
-				s.repairChanged = append(s.repairChanged, i)
+		dirtyOnly := s.topUnder && !unweighted && underSubscribed(s.gCap, s.activeTop, float64(s.ncpu))
+		if dirtyOnly {
+			for _, list := range [2][]int{dirty, parents} {
+				for _, i := range list {
+					if s.gAcct[i].flags&acctTop != 0 && s.gRate[i] != s.gCap[i] {
+						s.gRate[i] = s.gCap[i]
+						s.repairChanged = append(s.repairChanged, i)
+					}
+				}
 			}
+		} else {
+			old := s.repairOld[:0]
+			for _, i := range s.activeTop {
+				old = append(old, s.gRate[i])
+				s.gRate[i] = 0
+			}
+			tops := append(s.scratchTop[:0], s.activeTop...)
+			s.topUnder = waterfill(s.groups, s.gCap, s.gRate, tops, float64(s.ncpu))
+			s.scratchTop = tops[:0]
+			for k, i := range s.activeTop {
+				if grant := s.gRate[i]; grant != old[k] {
+					s.gRate[i] = old[k]
+					s.settleTo(i, prev)
+					s.gRate[i] = grant
+					s.repairChanged = append(s.repairChanged, i)
+				}
+			}
+			s.repairOld = old
 		}
-		s.repairOld = old
+		if s.onTopPhase != nil {
+			s.onTopPhase(dirtyOnly)
+		}
 	}
 
 	// Phase 3: refill the children of every queued or rate-changed
@@ -390,6 +421,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		if grant > 0 {
 			waterfill(s.groups, s.gCap, s.gRate, childActive, grant)
 		}
+		s.scratchChild = childActive[:0]
 	}
 	s.repairParents = parents[:0]
 
@@ -483,8 +515,7 @@ func (s *Scheduler) repairTick(now sim.Time, dt time.Duration, dtSec float64) {
 		// blocks its task mid-walk must not retroactively change this
 		// tick's sum, exactly as in the rebuild's interleaved
 		// accumulation.
-		s.recomputeUsedSlack()
-		s.recomputeLoadContrib()
+		s.recomputeLeafSums()
 	}
 
 	s.dirty = append(s.dirty[:0], s.dirty[len(dirty):]...)
@@ -615,13 +646,14 @@ func (s *Scheduler) snapNr(i, nr int) {
 	s.nrSnapVal = append(s.nrSnapVal, nr)
 }
 
-// recomputeLoadContrib re-derives the load contribution as the same
-// ascending ordered sum the rebuild computes, so the filter input stays
-// bit-identical. Leaves this tick's walk visited contribute their
-// runnable counts as of the visit (snapNr), like the rebuild's
-// interleaved accumulation.
-func (s *Scheduler) recomputeLoadContrib() {
-	contrib := 0.0
+// recomputeLeafSums re-derives the slack and the load contribution in
+// one ascending pass over the active leaves. Each keeps the rebuild's
+// own ordered sum, so both stay bit-identical; a quiet tick's call
+// re-derives the unchanged slack to the same value. Leaves this tick's
+// walk visited contribute their runnable counts as of the visit
+// (snapNr), like the rebuild's interleaved accumulation.
+func (s *Scheduler) recomputeLeafSums() {
+	used, contrib := 0.0, 0.0
 	k := 0
 	for _, i := range s.active {
 		g := s.groups[i]
@@ -629,6 +661,7 @@ func (s *Scheduler) recomputeLoadContrib() {
 			continue
 		}
 		rate := s.gRate[i]
+		used += rate
 		nr := g.runnable
 		for k < len(s.nrSnapIdx) && s.nrSnapIdx[k] < i {
 			k++
@@ -642,6 +675,11 @@ func (s *Scheduler) recomputeLoadContrib() {
 			contrib += float64(nr)
 		}
 	}
+	slack := float64(s.ncpu) - used
+	if slack < 1e-6 {
+		slack = 0
+	}
+	s.slackLast = slack
 	s.loadContrib = contrib
 }
 
@@ -671,23 +709,6 @@ func (s *Scheduler) markEager(i int, want bool) {
 	} else {
 		s.eagerRemoved = true
 	}
-}
-
-// recomputeUsedSlack re-derives the slack from the active leaves with
-// the rebuild's ascending ordered sum, so the value stays bit-identical.
-func (s *Scheduler) recomputeUsedSlack() {
-	used := 0.0
-	for _, i := range s.active {
-		if len(s.groups[i].children) > 0 {
-			continue
-		}
-		used += s.gRate[i]
-	}
-	slack := float64(s.ncpu) - used
-	if slack < 1e-6 {
-		slack = 0
-	}
-	s.slackLast = slack
 }
 
 // mergeIdx rebuilds a sorted membership list: entries whose bit was

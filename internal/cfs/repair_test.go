@@ -431,18 +431,24 @@ func TestRepairMirrorsEagerLockstep(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			m := newMirror(t, 4)
-			seedMirror(m, rng, 6+int(seed)%5)
-			m.check("after seed")
-			for op := 0; op < 500; op++ {
-				if m.step(rng) {
-					m.check(fmt.Sprintf("op %d (tick %d)", op, m.rep.ticks))
-				}
-			}
-			m.check("final")
+			runStepMirror(t, seed, 500)
 		})
 	}
+}
+
+// runStepMirror seeds a mirror from seed and applies ops random
+// operations, comparing full state after every tick.
+func runStepMirror(t *testing.T, seed int64, ops int) {
+	rng := rand.New(rand.NewSource(seed))
+	m := newMirror(t, 4)
+	seedMirror(m, rng, 6+int(seed%5+5)%5)
+	m.check("after seed")
+	for op := 0; op < ops; op++ {
+		if m.step(rng) {
+			m.check(fmt.Sprintf("op %d (tick %d)", op, m.rep.ticks))
+		}
+	}
+	m.check("final")
 }
 
 // TestRepairMirrorsEagerDeferred runs with almost no mid-run reads or

@@ -89,8 +89,9 @@ cover:
 	rm -f cover-autoscaler.out
 
 # Documentation gate: every package needs a package comment, and the
-# public API (arv) plus internal/sysns and internal/faults must have no
-# undocumented exported symbols.
+# public API (arv) plus the packages in docscheck's strictPkgs (the core
+# subsystems and the serving layer) must have no undocumented exported
+# symbols.
 docs:
 	$(GO) run ./internal/tools/docscheck
 

@@ -67,6 +67,12 @@ type Event struct {
 type Interceptor func(Event) bool
 
 // Hierarchy owns the set of cgroups on a host.
+//
+// Event delivery is deferred (DESIGN.md §14): publish appends each
+// event the interceptor passes to one FIFO queue, and Drain hands the
+// backlog to the subscribers in publication order. ns_monitor drains
+// at every read boundary, so a limit-churn storm costs one append per
+// event until something reads the state the events feed.
 type Hierarchy struct {
 	sched *cfs.Scheduler
 	mem   *memctl.Controller
@@ -77,22 +83,12 @@ type Hierarchy struct {
 	interceptor Interceptor
 	suppressed  uint64
 
-	// Sharded deferred dispatch (SetShardedDispatch; DESIGN.md §14).
-	// When shards is non-nil, publish appends each delivered event to
-	// its cgroup's shard queue instead of fanning out synchronously;
-	// Drain delivers the backlog in deterministic order. nextSeq numbers
-	// cgroups at creation — the shard key, so one cgroup's events stay
-	// FIFO relative to each other.
-	shards   []eventShard
-	queued   int
+	// queue holds published, undelivered events; head is the next one
+	// Drain delivers. The slice is reused across drains, so a warmed-up
+	// churn storm enqueues without allocating.
+	queue    []Event
+	head     int
 	draining bool
-	nextSeq  uint64
-}
-
-// eventShard is one deferred-dispatch queue. The slice is reused across
-// drains, so a warmed-up churn storm enqueues without allocating.
-type eventShard struct {
-	q []Event
 }
 
 // NewHierarchy returns an empty hierarchy bound to the host's scheduler
@@ -107,16 +103,21 @@ func (h *Hierarchy) Scheduler() *cfs.Scheduler { return h.sched }
 // Memory returns the memory controller backing the hierarchy.
 func (h *Hierarchy) Memory() *memctl.Controller { return h.mem }
 
-// Subscribe registers fn to receive all future events.
-func (h *Hierarchy) Subscribe(fn func(Event)) { h.subs = append(h.subs, fn) }
+// Subscribe registers fn to receive all future events. Any backlog is
+// drained to the existing subscribers first, so fn never sees an event
+// published before it subscribed.
+func (h *Hierarchy) Subscribe(fn func(Event)) {
+	h.Drain()
+	h.subs = append(h.subs, fn)
+}
 
 // Intercept installs fn as the hierarchy's event interceptor (nil
 // removes it). At most one interceptor is active at a time.
 func (h *Hierarchy) Intercept(fn Interceptor) { h.interceptor = fn }
 
-// Redeliver publishes e to all subscribers, bypassing the interceptor.
-// It is how an interceptor that deferred an event eventually hands it
-// over.
+// Redeliver publishes e to all subscribers at once, bypassing both the
+// interceptor and the queue. It is how an interceptor that deferred an
+// event eventually hands it over.
 func (h *Hierarchy) Redeliver(e Event) {
 	for _, fn := range h.subs {
 		fn(e)
@@ -132,6 +133,8 @@ func (h *Hierarchy) Redeliver(e Event) {
 // state before it is trusted again.
 func (h *Hierarchy) Suppressed() uint64 { return h.suppressed }
 
+// publish consults the interceptor at once — deferral delays delivery,
+// never the fault decision — and queues what it passes.
 func (h *Hierarchy) publish(e Event) {
 	if h.interceptor != nil && (e.Kind == CPUChanged || e.Kind == MemChanged) {
 		if !h.interceptor(e) {
@@ -139,67 +142,32 @@ func (h *Hierarchy) publish(e Event) {
 			return
 		}
 	}
-	if h.shards != nil {
-		s := &h.shards[e.Cgroup.seq%uint64(len(h.shards))]
-		s.q = append(s.q, e)
-		h.queued++
-		return
-	}
-	for _, fn := range h.subs {
-		fn(e)
-	}
+	h.queue = append(h.queue, e)
 }
 
-// SetShardedDispatch switches the hierarchy between synchronous event
-// delivery (n <= 0, the default — every golden experiment uses it) and
-// sharded deferred delivery across n per-cgroup-keyed FIFO queues. In
-// sharded mode a churn storm costs one append per event; subscribers
-// see the whole backlog in one deterministic batch when Drain runs,
-// which ns_monitor does at every read boundary (host.Config.EventShards
-// turns this mode on).
-//
-// Per-cgroup event order is preserved (a cgroup always lands in the
-// same shard); cross-cgroup order is relaxed to shard order, which the
-// monitor's share-aggregate cache tolerates because its per-event
-// deltas commute. Any backlog is drained before the mode changes.
-func (h *Hierarchy) SetShardedDispatch(n int) {
-	h.Drain()
-	if n <= 0 {
-		h.shards = nil
-		return
-	}
-	h.shards = make([]eventShard, n)
-}
-
-// Drain delivers every queued event to the subscribers: shards in
-// ascending order, FIFO within a shard, repeating until no event is
-// left (subscribers may trigger further publications while draining).
-// It is a no-op when nothing is queued, when dispatch is synchronous,
-// and on re-entry from a subscriber.
+// Drain delivers every queued event to the subscribers in publication
+// order, including events the subscribers publish while it runs. It is
+// a no-op when nothing is queued and on re-entry from a subscriber (the
+// running Drain delivers what the nested call would have).
 func (h *Hierarchy) Drain() {
-	if h.queued == 0 || h.draining {
+	if h.draining || len(h.queue) == 0 {
 		return
 	}
 	h.draining = true
-	for h.queued > 0 {
-		for i := range h.shards {
-			s := &h.shards[i]
-			for j := 0; j < len(s.q); j++ {
-				e := s.q[j]
-				h.queued--
-				for _, fn := range h.subs {
-					fn(e)
-				}
-			}
-			s.q = s.q[:0]
+	for h.head < len(h.queue) {
+		e := h.queue[h.head]
+		h.head++
+		for _, fn := range h.subs {
+			fn(e)
 		}
 	}
+	clear(h.queue) // drop the cgroup pointers for the collector
+	h.queue, h.head = h.queue[:0], 0
 	h.draining = false
 }
 
-// Queued returns the number of events waiting in shard queues (0 under
-// synchronous dispatch). Tests use it to pin deferral semantics.
-func (h *Hierarchy) Queued() int { return h.queued }
+// Queued returns the number of published events not yet delivered.
+func (h *Hierarchy) Queued() int { return len(h.queue) - h.head }
 
 // Cgroups returns the live cgroups in creation order.
 func (h *Hierarchy) Cgroups() []*Cgroup { return h.cgroups }
@@ -222,9 +190,7 @@ func (h *Hierarchy) Create(name string) *Cgroup {
 		CPU:  h.sched.NewGroup(name),
 		Mem:  h.mem.NewGroup(name),
 		hier: h,
-		seq:  h.nextSeq,
 	}
-	h.nextSeq++
 	h.cgroups = append(h.cgroups, cg)
 	h.byName[name] = cg
 	h.publish(Event{Created, cg})
@@ -249,9 +215,7 @@ func (h *Hierarchy) CreateChild(parent *Cgroup, name string) *Cgroup {
 		Mem:    h.mem.NewChildGroup(parent.Mem, name),
 		Parent: parent,
 		hier:   h,
-		seq:    h.nextSeq,
 	}
-	h.nextSeq++
 	parent.children = append(parent.children, cg)
 	h.cgroups = append(h.cgroups, cg)
 	h.byName[name] = cg
@@ -298,7 +262,6 @@ type Cgroup struct {
 	children []*Cgroup
 	hier     *Hierarchy
 	removed  bool
-	seq      uint64 // creation number; the sharded-dispatch shard key
 }
 
 // Children returns the nested cgroups.

@@ -53,6 +53,7 @@ func TestEventsPublished(t *testing.T) {
 	cg.SetCpuset(4)
 	cg.SetMemLimits(units.GiB, 512*units.MiB)
 	h.Remove(cg)
+	h.Drain()
 
 	wantKinds := []EventKind{Created, CPUChanged, CPUChanged, CPUChanged, MemChanged, Removed}
 	if len(events) != len(wantKinds) {

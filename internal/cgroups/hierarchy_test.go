@@ -34,6 +34,7 @@ func TestCreateChildEvents(t *testing.T) {
 	h.Subscribe(func(e Event) { events = append(events, e) })
 	a := h.CreateChild(pod, "a")
 	h.Remove(pod)
+	h.Drain()
 	// created(a), removed(a), removed(pod)
 	if len(events) != 3 {
 		t.Fatalf("events = %d, want 3", len(events))

@@ -14,17 +14,20 @@ import (
 	"arv/internal/workloads"
 )
 
-// dispatches are the cgroup event dispatch configurations every test
-// here runs under: synchronous delivery, the library default, and the
-// sharded deferred dispatch the benchmarks run. A fault's observable
-// effect must not depend on which one delivers the events.
+// dispatches are the host configurations every test here runs under:
+// the library default, and the one the benchmarks build, which still
+// sets the deprecated EventShards. Every host delivers cgroup events
+// through one deferred FIFO whatever EventShards says, so a fault's
+// observable effect must not differ between them. The subtest names are
+// kept from when the two configurations selected different dispatch
+// modes, so test IDs stay stable.
 var dispatches = []struct {
 	name   string
 	shards int
 }{{"sync", 0}, {"shards=8", 8}}
 
-// forEachDispatch runs test once per dispatch configuration, as a
-// subtest, with a constructor for the tests' host under it.
+// forEachDispatch runs test once per host configuration, as a subtest,
+// with a constructor for the tests' host under it.
 func forEachDispatch(t *testing.T, test func(t *testing.T, newHost func() *host.Host)) {
 	for _, d := range dispatches {
 		t.Run(d.name, func(t *testing.T) {

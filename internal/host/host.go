@@ -94,14 +94,10 @@ type Config struct {
 	// existing configurations compile.
 	CFSOptions cfs.Options
 
-	// EventShards, when positive, switches the cgroup hierarchy to
-	// sharded deferred event dispatch (cgroups.SetShardedDispatch):
-	// churn-storm events append to per-shard FIFO queues and are
-	// delivered in one deterministic batch at the monitor's next read
-	// boundary (update round, snapshot cut, staleness scan, or bounds
-	// read), which drains the queues, instead of synchronously per
-	// event. Zero (the default, and what every golden experiment uses)
-	// keeps synchronous dispatch.
+	// Deprecated: EventShards is ignored. Every hierarchy queues its
+	// cgroup events in one FIFO that ns_monitor drains at its read
+	// boundaries (DESIGN.md §14); the field remains so existing
+	// configurations compile.
 	EventShards int
 
 	// Seed seeds the host's deterministic RNG.
@@ -159,9 +155,6 @@ func New(cfg Config) *Host {
 		SwapBandwidth: cfg.SwapBandwidth,
 	})
 	hier := cgroups.NewHierarchy(sched, mem)
-	if cfg.EventShards > 0 {
-		hier.SetShardedDispatch(cfg.EventShards)
-	}
 	mon := sysns.NewMonitor(hier, clock, cfg.NSOptions)
 	resolver := sysfs.NewResolver(&sysfs.HostView{Sched: sched, Mem: mem})
 	rt := container.NewRuntime(hier, mon, resolver)
@@ -226,9 +219,6 @@ func (h *Host) AddProgram(p Program) { h.programs = append(h.programs, p) }
 // Programs returns the number of registered, not-yet-compacted
 // programs.
 func (h *Host) Programs() int { return len(h.programs) }
-
-// SetFastForward toggles idle-span fast-forwarding at runtime.
-func (h *Host) SetFastForward(enabled bool) { h.fastForward = enabled }
 
 // EnableTelemetry attaches a fresh tracer (ring capacity ringSize;
 // telemetry.DefaultRingSize if <= 0) to the host and every registered

@@ -69,3 +69,30 @@ func TestSnapshotWriteTo(t *testing.T) {
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
 	}
 }
+
+// TestDestroyLeavesViewSnapshotNextStep pins the topology rule of the
+// observe-phase publication: a destroyed container is gone from the
+// published view snapshot after the very next Step, not at the next
+// update round, although its Removed event is still queued when
+// Destroy returns.
+func TestDestroyLeavesViewSnapshotNextStep(t *testing.T) {
+	h := newHost()
+	h.Runtime.Create(container.Spec{Name: "a"}).Exec("app")
+	b := h.Runtime.Create(container.Spec{Name: "b"})
+	b.Exec("app")
+	h.ViewSnapshot() // a consumer turns publication on
+	h.Run(5 * time.Millisecond)
+	if h.ViewSnapshot().Container("b") == nil {
+		t.Fatal("b missing from the snapshot before it was destroyed")
+	}
+
+	h.Runtime.Destroy(b)
+	h.Step()
+	s := h.ViewSnapshot()
+	if s.Container("b") != nil || s.Cgroup("b") != nil {
+		t.Fatalf("b still in the snapshot cut at %v, one step after Destroy", s.At)
+	}
+	if s.Container("a") == nil {
+		t.Fatal("surviving container a missing from the snapshot")
+	}
+}

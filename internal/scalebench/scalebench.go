@@ -55,16 +55,13 @@ type Config struct {
 	Warmup time.Duration
 	// Seed drives the host RNG and the churn schedule.
 	Seed uint64
-	// Shards sizes sharded cgroup event dispatch (0 = synchronous
-	// delivery). Defaults to 8 via Defaults.
-	Shards int
 }
 
 // Defaults returns the canonical scale configuration for n containers
 // with churn on, as reported in BENCH_scale.json. All duration and size
 // fields are resolved, so callers can read Span/Warmup directly.
 func Defaults(n int) Config {
-	return Config{Containers: n, Churn: true, Shards: 8}.withDefaults()
+	return Config{Containers: n, Churn: true}.withDefaults()
 }
 
 // withDefaults resolves zero fields.
@@ -108,10 +105,9 @@ type Bench struct {
 func Build(cfg Config) *Bench {
 	cfg = cfg.withDefaults()
 	h := host.New(host.Config{
-		CPUs:        cfg.CPUs,
-		Memory:      cfg.Memory,
-		Seed:        cfg.Seed,
-		EventShards: cfg.Shards,
+		CPUs:   cfg.CPUs,
+		Memory: cfg.Memory,
+		Seed:   cfg.Seed,
 	})
 	// Pin the view-update interval at the paper's 24ms base period: with
 	// hundreds of runnable tasks the CFS scheduling period scales to

@@ -4,8 +4,20 @@ import (
 	"strings"
 	"testing"
 
+	"arv/internal/cgroups"
 	"arv/internal/units"
 )
+
+// readCgroup renders file for cg the way fsd serves it: through
+// ReadCgroupView over the cgroup's entry in a freshly published
+// snapshot.
+func (f *fixture) readCgroup(cg *cgroups.Cgroup, file string) (string, error) {
+	v := f.mon.Publish(0).Cgroup(cg.Name)
+	if v == nil {
+		return "", ErrNoEnt{Path: cg.Name}
+	}
+	return ReadCgroupView(v, file)
+}
 
 func TestCgroupFileCPU(t *testing.T) {
 	f := newFixture()
@@ -21,7 +33,7 @@ func TestCgroupFileCPU(t *testing.T) {
 		"cpuset.cpus":       "0-3\n",
 	}
 	for file, want := range cases {
-		got, err := ReadCgroupFile(cg, file)
+		got, err := f.readCgroup(cg, file)
 		if err != nil || got != want {
 			t.Errorf("%s = %q, %v; want %q", file, got, err, want)
 		}
@@ -31,14 +43,14 @@ func TestCgroupFileCPU(t *testing.T) {
 func TestCgroupFileCPUUnrestricted(t *testing.T) {
 	f := newFixture()
 	cg := f.hier.Create("a")
-	if got, _ := ReadCgroupFile(cg, "cpu.cfs_quota_us"); got != "-1\n" {
+	if got, _ := f.readCgroup(cg, "cpu.cfs_quota_us"); got != "-1\n" {
 		t.Errorf("unlimited quota = %q, want -1", got)
 	}
-	if got, _ := ReadCgroupFile(cg, "cpuset.cpus"); got != "" {
+	if got, _ := f.readCgroup(cg, "cpuset.cpus"); got != "" {
 		t.Errorf("unrestricted cpuset = %q, want empty", got)
 	}
 	cg.SetCpuset(1)
-	if got, _ := ReadCgroupFile(cg, "cpuset.cpus"); got != "0\n" {
+	if got, _ := f.readCgroup(cg, "cpuset.cpus"); got != "0\n" {
 		t.Errorf("single-cpu cpuset = %q", got)
 	}
 }
@@ -49,16 +61,16 @@ func TestCgroupFileMemory(t *testing.T) {
 	cg.SetMemLimits(units.GiB, 512*units.MiB)
 	f.mem.Charge(cg.Mem, 256*units.MiB, 0)
 
-	if got, _ := ReadCgroupFile(cg, "memory.limit_in_bytes"); got != "1073741824\n" {
+	if got, _ := f.readCgroup(cg, "memory.limit_in_bytes"); got != "1073741824\n" {
 		t.Errorf("limit = %q", got)
 	}
-	if got, _ := ReadCgroupFile(cg, "memory.soft_limit_in_bytes"); got != "536870912\n" {
+	if got, _ := f.readCgroup(cg, "memory.soft_limit_in_bytes"); got != "536870912\n" {
 		t.Errorf("soft = %q", got)
 	}
-	if got, _ := ReadCgroupFile(cg, "memory.usage_in_bytes"); got != "268435456\n" {
+	if got, _ := f.readCgroup(cg, "memory.usage_in_bytes"); got != "268435456\n" {
 		t.Errorf("usage = %q", got)
 	}
-	stat, _ := ReadCgroupFile(cg, "memory.stat")
+	stat, _ := f.readCgroup(cg, "memory.stat")
 	if !strings.Contains(stat, "rss 268435456") || !strings.Contains(stat, "swap 0") {
 		t.Errorf("memory.stat = %q", stat)
 	}
@@ -67,7 +79,7 @@ func TestCgroupFileMemory(t *testing.T) {
 func TestCgroupFileMemoryUnlimited(t *testing.T) {
 	f := newFixture()
 	cg := f.hier.Create("a")
-	got, _ := ReadCgroupFile(cg, "memory.limit_in_bytes")
+	got, _ := f.readCgroup(cg, "memory.limit_in_bytes")
 	if !strings.HasPrefix(got, "92233720368") { // MaxInt64-ish
 		t.Errorf("unlimited limit = %q", got)
 	}
@@ -78,7 +90,7 @@ func TestCgroupFileHierarchicalStat(t *testing.T) {
 	pod := f.hier.Create("pod")
 	a := f.hier.CreateChild(pod, "a")
 	f.mem.Charge(a.Mem, 128*units.MiB, 0)
-	stat, _ := ReadCgroupFile(pod, "memory.stat")
+	stat, _ := f.readCgroup(pod, "memory.stat")
 	if !strings.Contains(stat, "hierarchical_rss 134217728") {
 		t.Errorf("pod memory.stat missing subtree usage: %q", stat)
 	}
@@ -87,7 +99,7 @@ func TestCgroupFileHierarchicalStat(t *testing.T) {
 func TestCgroupFileUnknown(t *testing.T) {
 	f := newFixture()
 	cg := f.hier.Create("a")
-	if _, err := ReadCgroupFile(cg, "nope"); err == nil {
+	if _, err := f.readCgroup(cg, "nope"); err == nil {
 		t.Fatal("unknown control file should error")
 	}
 }
@@ -96,7 +108,7 @@ func TestCgroupFilesAllServed(t *testing.T) {
 	f := newFixture()
 	cg := f.hier.Create("a")
 	for _, file := range CgroupFiles() {
-		if _, err := ReadCgroupFile(cg, file); err != nil {
+		if _, err := f.readCgroup(cg, file); err != nil {
 			t.Errorf("%s: %v", file, err)
 		}
 	}

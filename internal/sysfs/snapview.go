@@ -96,8 +96,11 @@ func (v SnapHostView) ReadFile(path string) (string, error) {
 	return renderFile(path, v.H.NCPU, v.H.TotalMemory, v.H.FreeMemory, v.H.LoadAvg)
 }
 
-// ReadCgroupView renders a cgroup control file from a frozen
-// CgroupView, byte-for-byte what ReadCgroupFile renders live.
+// ReadCgroupView renders the administrator-facing control files of a
+// cgroup — the `/sys/fs/cgroup/{cpu,cpuset,memory}/<name>/...` interface
+// tooling like docker stats and cadvisor reads — from its frozen
+// CgroupView. file is the name within the cgroup's directory, e.g.
+// "cpu.shares" or "memory.usage_in_bytes".
 func ReadCgroupView(cg *sysns.CgroupView, file string) (string, error) {
 	switch file {
 	case "cpu.shares":
@@ -121,6 +124,7 @@ func ReadCgroupView(cg *sysns.CgroupView, file string) (string, error) {
 		return fmt.Sprintf("0-%d\n", n-1), nil
 	case "memory.limit_in_bytes":
 		if cg.HardLimit <= 0 {
+			// The kernel reports PAGE_COUNTER_MAX-ish for "unlimited".
 			return fmt.Sprintf("%d\n", int64(math.MaxInt64)), nil
 		}
 		return fmt.Sprintf("%d\n", int64(cg.HardLimit)), nil
@@ -142,8 +146,20 @@ func ReadCgroupView(cg *sysns.CgroupView, file string) (string, error) {
 		}
 		return b.String(), nil
 	case "cgroup.procs":
-		return "", nil // see ReadCgroupFile: served empty here
+		// The simulation tracks processes at the container level, not
+		// the cgroup level; the file exists but renders empty.
+		return "", nil
 	default:
 		return "", ErrNoEnt{Path: cg.Name + "/" + file}
+	}
+}
+
+// CgroupFiles lists the control files ReadCgroupView serves.
+func CgroupFiles() []string {
+	return []string{
+		"cpu.shares", "cpu.cfs_quota_us", "cpu.cfs_period_us", "cpu.stat",
+		"cpuacct.usage", "cpuset.cpus",
+		"memory.limit_in_bytes", "memory.soft_limit_in_bytes",
+		"memory.usage_in_bytes", "memory.stat", "cgroup.procs",
 	}
 }

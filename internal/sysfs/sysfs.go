@@ -74,6 +74,7 @@ type View interface {
 // ErrNoEnt reports an unknown pseudo-file path.
 type ErrNoEnt struct{ Path string }
 
+// Error returns the message naming the unknown path.
 func (e ErrNoEnt) Error() string { return "sysfs: no such file " + e.Path }
 
 // HostView is the unmodified kernel view: total host resources.
@@ -195,73 +196,6 @@ func renderFile(path string, ncpu int, total, free units.Bytes, loadavg float64)
 	default:
 		return "", ErrNoEnt{path}
 	}
-}
-
-// StaticView models the prior art the paper compares against — LXCFS
-// and the Linux 4.6 cgroup namespace: it exports the administrator-set
-// *limits* of the container (cpuset size, quota/period, hard memory
-// limit) rather than host totals, but knows nothing about shares,
-// co-located load, or actual allocation ("these approaches only export
-// the resource constraints set by the administrator but do not reflect
-// the actual amount of resources that are allocated to a container",
-// §1). Unlimited containers still see the whole host through it.
-type StaticView struct {
-	CPU  *cfs.Group
-	Mem  *memctl.Group
-	Host *HostView
-}
-
-// OnlineCPUs returns the static CPU limit: |cpuset| first, then
-// floor(quota/period), then the host count.
-func (v *StaticView) OnlineCPUs() int {
-	if m := v.CPU.CpusetN; m > 0 {
-		return m
-	}
-	if lim := v.CPU.CPULimit(); lim < float64(v.Host.Sched.NCPU()) {
-		n := int(lim)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	return v.Host.Sched.NCPU()
-}
-
-// TotalMemory returns the hard memory limit, or host RAM if unlimited.
-func (v *StaticView) TotalMemory() units.Bytes {
-	if h := v.Mem.HardLimit; h > 0 {
-		return h
-	}
-	return v.Host.Mem.Total()
-}
-
-// Sysconf implements View from the static limits.
-func (v *StaticView) Sysconf(name Sysconf) (int64, error) {
-	switch name {
-	case ScNProcessorsOnln, ScNProcessorsConf:
-		return int64(v.OnlineCPUs()), nil
-	case ScPhysPages:
-		return v.TotalMemory().Pages(), nil
-	case ScAvPhysPages:
-		free := v.TotalMemory() - v.Mem.Resident()
-		if free < 0 {
-			free = 0
-		}
-		return free.Pages(), nil
-	case ScPageSize:
-		return int64(units.PageSize), nil
-	default:
-		return 0, fmt.Errorf("sysfs: unknown sysconf %v", name)
-	}
-}
-
-// ReadFile implements View.
-func (v *StaticView) ReadFile(path string) (string, error) {
-	free := v.TotalMemory() - v.Mem.Resident()
-	if free < 0 {
-		free = 0
-	}
-	return renderFile(path, v.OnlineCPUs(), v.TotalMemory(), free, v.Host.Sched.LoadAvg())
 }
 
 // Resolver intercepts probes and routes them to the host view or a

@@ -12,9 +12,8 @@ import (
 )
 
 // batchedPair is a production monitor and the full-walk reference over
-// one hierarchy with sharded event dispatch: events batch up in the
-// shard queues until a read boundary delivers them, and Σw_j passes
-// defer to the same boundary. The reference rebuilds from live state at
+// one hierarchy: events batch up in the hierarchy's queue until a read
+// boundary delivers them, and Σw_j passes defer to the same boundary. The reference rebuilds from live state at
 // every delivered trigger, so at every read boundary the two must agree
 // on the bounds exactly.
 type batchedPair struct {
@@ -24,12 +23,11 @@ type batchedPair struct {
 	mR    *Monitor // full-walk reference
 }
 
-func newBatchedPair(cpus, shards int) *batchedPair {
+func newBatchedPair(cpus int) *batchedPair {
 	clock := sim.NewClock(time.Millisecond)
 	sched := cfs.NewScheduler(cpus)
 	mem := memctl.New(memctl.Config{Total: 64 * units.GiB})
 	hier := cgroups.NewHierarchy(sched, mem)
-	hier.SetShardedDispatch(shards)
 	p := &batchedPair{
 		clock: clock,
 		hier:  hier,
@@ -77,7 +75,7 @@ func (p *batchedPair) checkBounds(t *testing.T, when string, cg *cgroups.Cgroup)
 // round must be absorbed by the next read — in both cases the flushed
 // bounds equal the full-walk reference.
 func TestBatchedEventOnUpdateBoundary(t *testing.T) {
-	p := newBatchedPair(8, 2)
+	p := newBatchedPair(8)
 	c0 := p.addContainer(t, "c0")
 	c1 := p.addContainer(t, "c1")
 	p.checkBounds(t, "setup", c0)
@@ -87,7 +85,7 @@ func TestBatchedEventOnUpdateBoundary(t *testing.T) {
 	// see it.
 	c1.SetQuotaCPUs(2)
 	if p.hier.Queued() == 0 {
-		t.Fatal("quota change was not queued under sharded dispatch")
+		t.Fatal("quota change was not queued")
 	}
 	p.mB.UpdateAll(now)
 	p.mR.UpdateAll(now)
@@ -111,24 +109,25 @@ func TestBatchedEventOnUpdateBoundary(t *testing.T) {
 
 // TestBatchedCreateRemoveWithinInterval covers a container whose whole
 // lifetime — create, attach, limit changes, remove — fits inside one
-// coalesced interval: every event sits in the same shard queue (one
-// cgroup, FIFO) until a single flush delivers creation through removal
-// back-to-back. The flush must detach the namespace, roll its share
-// contribution out of the cache, freeze the handle for post-mortem
-// readers, and leave the survivors exactly where the full-walk
-// reference puts them.
+// coalesced interval: the attach delivers the creation, and the limit
+// changes and the removal sit in the queue until a single flush
+// delivers them back-to-back. The flush must detach the namespace, roll
+// its share contribution out of the cache, freeze the handle for
+// post-mortem readers, and leave the survivors exactly where the
+// full-walk reference puts them.
 func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
-	p := newBatchedPair(8, 2)
+	p := newBatchedPair(8)
 	c0 := p.addContainer(t, "c0")
 	c1 := p.addContainer(t, "c1")
 	p.checkBounds(t, "setup", c0)
 
 	tmp := p.addContainer(t, "tmp")
+	nsTmp := p.mB.Lookup(tmp)
 	tmp.SetShares(4096)
 	tmp.SetQuotaCPUs(1)
 	p.hier.Remove(tmp)
-	nsTmp := p.mB.Lookup(tmp)
-	if nsTmp == nil {
+	// Read the index directly: Lookup is a read boundary.
+	if p.mB.spaces[tmp] != nsTmp {
 		t.Fatal("tmp namespace missing before the flush delivers Removed")
 	}
 	if p.hier.Queued() == 0 {
@@ -168,14 +167,14 @@ func TestBatchedCreateRemoveWithinInterval(t *testing.T) {
 }
 
 // TestBatchedSuppressionRecovery drives the suppressed-event recovery
-// path under sharded dispatch: an interceptor-dropped limit change
+// path under deferred delivery: an interceptor-dropped limit change
 // moves live state without a delivered event, so the share cache is
 // stale and no Σw_j pass is armed. The next delivered trigger must
 // detect the suppression-counter mismatch and force a FullRecompute —
-// eagerly, exactly as on the synchronous path — bringing the dropped
+// eagerly, as the delivered event lands — bringing the dropped
 // change into the bounds.
 func TestBatchedSuppressionRecovery(t *testing.T) {
-	p := newBatchedPair(8, 2)
+	p := newBatchedPair(8)
 	c0 := p.addContainer(t, "c0")
 	c1 := p.addContainer(t, "c1")
 	l0, _ := p.checkBounds(t, "setup", c0)
@@ -248,5 +247,28 @@ func TestDroppedEventStaysStaleAcrossPass(t *testing.T) {
 	c1.SetShares(1024) // delivered (a no-op write still publishes)
 	if _, upper := ns0.CPUBounds(); upper != 2 {
 		t.Fatalf("c0 upper = %d after the next delivered event, want 2", upper)
+	}
+}
+
+// TestAttachDrainsQueuedEventsFirst pins the ordering rule of a direct
+// Attach: a limit change published before it must reach the monitor
+// before the new namespace initializes E_CPU from its bounds. Here a
+// queued shares raise on c0 moves Σw_j from 2048 to 8192, so c2
+// guarantees 1024/9216 of 8 CPUs — one CPU. An attach that ran ahead of
+// the queued event would initialize E_CPU from the stale Σw_j (3 CPUs)
+// and, since the later pass only clamps, keep it there.
+func TestAttachDrainsQueuedEventsFirst(t *testing.T) {
+	p := newBatchedPair(8)
+	c0 := p.addContainer(t, "c0")
+	p.addContainer(t, "c1")
+	p.checkBounds(t, "setup", c0)
+
+	c0.SetShares(7168)
+	c2 := p.addContainer(t, "c2")
+	if lower, _ := p.checkBounds(t, "attach-after-queued-shares", c2); lower != 1 {
+		t.Fatalf("c2 lower bound = %d, want 1", lower)
+	}
+	if e := p.mB.Lookup(c2).EffectiveCPU(); e != 1 {
+		t.Fatalf("c2 E_CPU = %d after attach, want 1 (initialized from post-event bounds)", e)
 	}
 }

@@ -15,11 +15,11 @@ import (
 
 // buildDifferentialHost constructs one of a mirrored pair: identical
 // seeds, containers, workloads, and fault schedule, differing only in
-// the monitor's recompute path and the cgroup event dispatch. With
-// fullWalk set the monitor is the test-only full-walk reference
-// (UseFullWalk); eventShards > 0 routes cgroup events through sharded
-// deferred dispatch, the configuration the benchmarks run. Because the
-// fault layer draws from its own seeded RNG and the monitor path never
+// the monitor's recompute path. With fullWalk set the monitor is the
+// test-only full-walk reference (UseFullWalk). eventShards is passed as
+// the deprecated Config.EventShards, which the benchmarks still set and
+// the host ignores: every host queues its cgroup events in one FIFO
+// either way. Because the fault layer draws from its own seeded RNG and the monitor path never
 // consumes randomness, the two hosts see byte-identical event and churn
 // schedules — any divergence in view state is the production path's
 // fault. The host's trace ring is sized for the flight recorder.
@@ -76,8 +76,11 @@ func buildDifferentialHost(fullWalk bool, eventShards int) *host.Host {
 // compareUnderFaults runs a production host and the full-walk reference
 // side by side, sampling every 25 simulated milliseconds: every
 // namespace's CPU bounds, effective CPU, and effective memory must match
-// at every sample. On failure the last trace events of both hosts are
-// logged.
+// at every sample. On both hosts limit events queue until a read
+// boundary delivers them; the production monitor's subtree work and
+// deferred Σw_j pass land there, while the reference rebuilds from live
+// state at every delivered trigger. On failure the last trace events of
+// both hosts are logged.
 func compareUnderFaults(t *testing.T, eventShards int) {
 	hA := buildDifferentialHost(false, eventShards)
 	hB := buildDifferentialHost(true, 0)
@@ -135,10 +138,9 @@ func TestIncrementalMatchesFullUnderFaults(t *testing.T) {
 }
 
 // TestShardedMatchesFullUnderFaults is the same differential with the
-// production host on sharded event dispatch: limit events queue until a
-// read boundary delivers them, so event-time subtree work and the
-// deferred Σw_j pass both land at the boundary, after the reference
-// absorbed each event as it happened.
+// production host built the way the benchmarks build theirs, with the
+// deprecated EventShards set. The field must stay inert: the host still
+// delivers through the one FIFO and matches the reference exactly.
 func TestShardedMatchesFullUnderFaults(t *testing.T) {
-	compareUnderFaults(t, 4)
+	compareUnderFaults(t, 8)
 }

@@ -68,8 +68,9 @@ func (m *mirror) detach(cg *cgroups.Cgroup) { m.mA.Detach(cg); m.mB.Detach(cg); 
 
 // record emits one trace event per arm for a step: the operation and
 // its target as the actor, and the target's stored bounds on that arm
-// as A and B (-1 when it is not attached). It reads the slots directly,
-// so it is not a read boundary and shows pre-pass values. The event
+// as A and B (-1 when it is not attached). Lookup delivers queued
+// events, but the slots are read directly, so no Σw_j pass runs and
+// the values are pre-pass. The event
 // time is the step number in milliseconds.
 func (m *mirror) record(step int, op string, cg *cgroups.Cgroup) {
 	for _, mon := range m.monitors() {
@@ -92,11 +93,14 @@ func (m *mirror) record(step int, op string, cg *cgroups.Cgroup) {
 // clamped through.
 func (m *mirror) check(t testing.TB, step int, op string) {
 	t.Helper()
-	if la, lb, lc := len(m.mA.order), len(m.mB.order), len(m.mC.order); la != lb || la != lc {
+	// Namespaces is a read boundary: queued events reach all three
+	// monitors (they share the hierarchy) before anything is compared.
+	orderA := m.mA.Namespaces()
+	if la, lb, lc := len(orderA), len(m.mB.order), len(m.mC.order); la != lb || la != lc {
 		t.Fatalf("step %d (%s): namespace counts diverged: %d vs %d vs %d", step, op, la, lb, lc)
 	}
 	lazyRead := step%lazyEvery == lazyEvery-1
-	for _, nsA := range m.mA.order {
+	for _, nsA := range orderA {
 		nsB, nsC := m.mB.Lookup(nsA.cg), m.mC.Lookup(nsA.cg)
 		if nsB == nil || nsC == nil {
 			t.Fatalf("step %d (%s): %s not attached on every monitor", step, op, nsA.cg.Name)

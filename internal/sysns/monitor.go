@@ -63,11 +63,11 @@ type Monitor struct {
 	// sumMoved records a Σw_j move (a top-level entity attached,
 	// detached, or reweighted) whose lower-bound pass over the other
 	// namespaces has not run yet; flushBounds runs it at the next read
-	// boundary (DESIGN.md §14). inFlush suppresses re-entry (and
-	// immediate snapshot publication) while a flush is delivering queued
+	// boundary (DESIGN.md §14). draining suppresses re-entry (and
+	// immediate snapshot publication) while drain is delivering queued
 	// events.
 	sumMoved bool
-	inFlush  bool
+	draining bool
 
 	// fullWalk pins the monitor to the historical full walk: every
 	// delivered trigger rebuilds the cache and every bound from live
@@ -182,7 +182,10 @@ func (m *Monitor) allocSlot() int {
 }
 
 // Attach creates a sys_namespace for cg (idempotent) and returns it.
+// Queued cgroup events are delivered first, so the attach never runs
+// ahead of a change published before it.
 func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
+	m.drain()
 	if ns, ok := m.spaces[cg]; ok {
 		return ns
 	}
@@ -228,7 +231,9 @@ func (m *Monitor) Attach(cg *cgroups.Cgroup) *SysNamespace {
 }
 
 // Detach removes cg's namespace (also triggered by cgroup removal).
+// Like Attach, it delivers queued cgroup events first.
 func (m *Monitor) Detach(cg *cgroups.Cgroup) {
+	m.drain()
 	ns, ok := m.spaces[cg]
 	if !ok {
 		return
@@ -274,11 +279,19 @@ func (m *Monitor) Detach(cg *cgroups.Cgroup) {
 	m.publishTopo(m.clock.Now())
 }
 
-// Lookup returns cg's namespace, or nil.
-func (m *Monitor) Lookup(cg *cgroups.Cgroup) *SysNamespace { return m.spaces[cg] }
+// Lookup returns cg's namespace, or nil, after delivering queued
+// cgroup events (a removed cgroup's namespace is gone).
+func (m *Monitor) Lookup(cg *cgroups.Cgroup) *SysNamespace {
+	m.drain()
+	return m.spaces[cg]
+}
 
-// Namespaces returns the live namespaces in attach order.
-func (m *Monitor) Namespaces() []*SysNamespace { return m.order }
+// Namespaces returns the live namespaces in attach order, after
+// delivering queued cgroup events.
+func (m *Monitor) Namespaces() []*SysNamespace {
+	m.drain()
+	return m.order
+}
 
 func (m *Monitor) onEvent(e cgroups.Event) {
 	switch e.Kind {
@@ -341,20 +354,30 @@ func (m *Monitor) moveSum(refs int) {
 	}
 }
 
-// flushBounds is the read boundary (DESIGN.md §14): the update round,
-// snapshot publication, the staleness scan, and every bounds read run
-// it. It drains any sharded cgroup event queues — each delivered event
-// does its subtree work as it lands — then, if Σw_j moved, runs one
-// lower-bound pass over every namespace. With neither — the common case
-// — it is three loads and a return; re-entry while a flush is
-// delivering events is likewise a no-op.
-func (m *Monitor) flushBounds() {
-	if m.inFlush || (m.hier.Queued() == 0 && !m.sumMoved) {
+// drain delivers the hierarchy's queued events; each does its subtree
+// work as it lands. Every entry point that reads or changes
+// event-derived state runs it first (DESIGN.md §14). It is a no-op
+// with nothing queued and on re-entry from a delivered event.
+func (m *Monitor) drain() {
+	if m.draining || m.hier.Queued() == 0 {
 		return
 	}
-	m.inFlush = true
+	m.draining = true
 	m.hier.Drain()
-	m.inFlush = false
+	m.draining = false
+}
+
+// flushBounds is the read boundary (DESIGN.md §14): the update round,
+// snapshot publication, the staleness scan, and every bounds read run
+// it. It drains the queued cgroup events, then, if Σw_j moved, runs one
+// lower-bound pass over every namespace. With neither — the common case
+// — it is a few loads and a return; re-entry while drain is delivering
+// events is likewise a no-op.
+func (m *Monitor) flushBounds() {
+	if m.draining {
+		return
+	}
+	m.drain()
 	if !m.sumMoved {
 		return
 	}

@@ -186,13 +186,13 @@ func (m *Monitor) WarmSnapshot() {
 
 // publishTopo is the gated publication for topology triggers (attach,
 // detach): immediate when the monitor has consumers, recorded as
-// pending dirtiness otherwise. While a flush is delivering queued
-// events the publication is deferred too — the read boundary
-// that triggered the flush cuts one consistent snapshot for the whole
-// batch right after.
+// pending dirtiness otherwise. While drain is delivering queued events
+// the publication is deferred too: the entry point that drained, or
+// else the tick's observe phase (PublishIfDirty), cuts one consistent
+// snapshot for the whole batch.
 func (m *Monitor) publishTopo(now sim.Time) {
 	m.markTopoDirty()
-	if m.inFlush {
+	if m.draining {
 		return
 	}
 	if m.observed.Load() {
@@ -236,7 +236,13 @@ func (m *Monitor) markTopoDirty() {
 // update period. Topology changes (containers or cgroups coming or
 // going) publish immediately: names must resolve without waiting.
 func (m *Monitor) PublishIfDirty(now sim.Time) bool {
-	if !m.snapDirty || !m.observed.Load() {
+	if !m.observed.Load() {
+		return false
+	}
+	// Queued events carry the dirtiness this check reads: a removal
+	// still in the queue must publish now, not at the next round.
+	m.drain()
+	if !m.snapDirty {
 		return false
 	}
 	if !m.topoDirty && now-m.lastPub < sim.Time(m.Period()) {

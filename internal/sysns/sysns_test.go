@@ -121,7 +121,8 @@ func TestEffectiveCPUGrowsOnSlackAndHighUtil(t *testing.T) {
 	cg, ns := f.attach("a")
 	f.attach("b") // lower bound becomes 4
 	cg.SetQuotaCPUs(8)
-	ns.slotCPU().eCPU = ns.slotCPU().lowerCPU // start from the guaranteed share (4)
+	lower, _ := ns.CPUBounds() // read boundary: the quota write lands
+	ns.slotCPU().eCPU = lower  // start from the guaranteed share (4)
 	window := 24 * time.Millisecond
 	use := units.CPUSeconds(float64(ns.EffectiveCPU()) * window.Seconds() * 0.99)
 	ns.UpdateCPU(0, window, use, 1 /* slack */)
@@ -164,7 +165,8 @@ func TestEffectiveCPUStepLimit(t *testing.T) {
 	cg, ns := f.attach("a")
 	f.attach("b")
 	cg.SetQuotaCPUs(16)
-	ns.slotCPU().eCPU = ns.slotCPU().lowerCPU // far below the upper bound
+	lower, _ := ns.CPUBounds() // read boundary: the quota write lands
+	ns.slotCPU().eCPU = lower  // far below the upper bound
 	before := ns.EffectiveCPU()
 	busy := units.CPUSeconds(float64(before) * 0.024)
 	ns.UpdateCPU(0, 24*time.Millisecond, busy, 5)

@@ -3,8 +3,9 @@
 //
 //  1. every Go package in the module must carry a package comment on at
 //     least one of its files, and
-//  2. the packages named in strictPkgs — the public API plus the
-//     subsystems at the heart of the paper reproduction — must document
+//  2. the packages named in strictPkgs — the public API, the
+//     subsystems at the heart of the paper reproduction, and the
+//     serving layer (host, sysfs, fsd) — must document
 //     every exported symbol: functions, methods on exported types,
 //     type declarations, and each exported const/var (a comment on the
 //     enclosing grouped declaration covers all of its specs).
@@ -38,6 +39,9 @@ var strictPkgs = map[string]bool{
 	"internal/cfs":        true,
 	"internal/cgroups":    true,
 	"internal/scalebench": true,
+	"internal/host":       true,
+	"internal/sysfs":      true,
+	"internal/fsd":        true,
 }
 
 func main() {
